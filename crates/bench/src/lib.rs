@@ -12,6 +12,8 @@
 //! `--threads <T>` to run at larger scale. EXPERIMENTS.md records which scale
 //! produced the committed numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod datasets;
 pub mod micro;

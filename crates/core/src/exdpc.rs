@@ -2,9 +2,10 @@
 //!
 //! * **Local density** — one range count per point with radius `d_cut` against
 //!   the packed static [`KdTree`] (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`). The
-//!   loop is embarrassingly parallel and is scheduled dynamically so that
-//!   points in dense regions (whose range searches return more results) do not
-//!   serialise behind a static split.
+//!   counts are batched: points grouped by grid cell share one traversal
+//!   (`dpc_index::batchq`), and the buckets fan out across the workers. `fit`
+//!   and `fit_keyed` run this one engine and differ only in the key each
+//!   point's density jitter is drawn from.
 //! * **Dependent points** — the key idea of the paper: destroy the tree, sort
 //!   the points by decreasing local density, and re-insert them one at a time
 //!   into an [`IncrementalKdTree`]; when point `p_i` is about to be inserted,
@@ -64,20 +65,11 @@ impl ExDpc {
     /// [`ExDpc::local_densities_per_point`] at every thread count — batched
     /// counts equal single-query counts exactly, and the bucket order is
     /// fixed by the grid's CSR layout, which is itself thread-invariant.
-    pub fn local_densities(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<f64> {
-        let executor = Executor::new(self.params.threads);
-        let n = data.len();
-        let dim = data.dim();
-        if n == 0 || dim == 0 {
-            return vec![0.0; n];
+    pub fn local_densities(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
+        if data.is_empty() {
+            return Vec::new();
         }
-        let side = self.params.dcut / (dim as f64).sqrt();
-        if !(side.is_finite() && side > 0.0) {
-            // A degenerate d_cut (`fit` rejects it; direct callers may not)
-            // cannot seed a grid — the per-point loop has the same semantics.
-            return self.local_densities_per_point(data, tree);
-        }
-        let grid = Grid::build_parallel(data, side, &executor);
+        let grid = self.query_grid(data, &Executor::new(self.params.threads));
         self.local_densities_with_grid(data, tree, &grid)
     }
 
@@ -89,8 +81,30 @@ impl ExDpc {
     pub fn local_densities_with_grid(
         &self,
         data: &Dataset,
-        tree: &KdTree<'_>,
+        tree: &KdTree,
         grid: &Grid,
+    ) -> Vec<f64> {
+        self.keyed_densities(data, tree, grid, |p| p as u64)
+    }
+
+    /// The grid whose cells group the ρ queries into buckets. Counts never
+    /// depend on the cell side — the grid only decides which query balls
+    /// share a traversal — so a side the grid cannot take (a degenerate
+    /// `d_cut`, or `d_cut/√d` underflowing to zero) becomes the smallest
+    /// positive normal float instead of a different code path.
+    fn query_grid(&self, data: &Dataset, executor: &Executor) -> Grid {
+        let side = self.params.dcut / (data.dim() as f64).sqrt();
+        let side = if side.is_finite() && side > 0.0 { side } else { f64::MIN_POSITIVE };
+        Grid::build_parallel(data, side, executor)
+    }
+
+    /// The batched ρ engine, jittering point `p` on `key(p)`.
+    fn keyed_densities(
+        &self,
+        data: &Dataset,
+        tree: &KdTree,
+        grid: &Grid,
+        key: impl Fn(usize) -> u64,
     ) -> Vec<f64> {
         let executor = Executor::new(self.params.threads);
         let n = data.len();
@@ -112,7 +126,6 @@ impl ExDpc {
         {
             let bounds = batchq::balanced_ranges(&prefix, executor.threads());
             let parts = tree.packed_parts();
-            let grid = &grid;
             let buckets = &buckets;
             let mut tasks = Vec::with_capacity(bounds.len() - 1);
             let mut rest: &mut [usize] = &mut counts;
@@ -155,12 +168,13 @@ impl ExDpc {
             executor.fan_out(tasks);
         }
         // Scatter the bucket-ordered counts back to point order, jittering on
-        // the point id (order-independent, so identical to the per-point loop).
+        // the point's key (order-independent, so identical to the per-point
+        // loop).
         let mut rho = vec![0.0f64; n];
         let mut slot = 0usize;
         for &cell in buckets.flat_cells() {
             for &p in grid.points(cell) {
-                rho[p] = jittered_density(counts[slot], p, seed);
+                rho[p] = jittered_density_keyed(counts[slot], key(p), seed);
                 slot += 1;
             }
         }
@@ -168,10 +182,10 @@ impl ExDpc {
     }
 
     /// The per-point reference ρ loop: one `range_count` traversal per point,
-    /// dynamically scheduled. Kept as the baseline the batched default is
-    /// pinned against (tests) and benchmarked against (`local_density`
-    /// trajectory).
-    pub fn local_densities_per_point(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<f64> {
+    /// dynamically scheduled. No fit runs it; it is the baseline the batched
+    /// engine is pinned against (tests) and benchmarked against
+    /// (`local_density` trajectory).
+    pub fn local_densities_per_point(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
         let executor = Executor::new(self.params.threads);
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
@@ -188,11 +202,9 @@ impl ExDpc {
     /// compared against: the streaming engine jitters every ρ on the point's
     /// stable external id, so a fresh fit of the surviving window keyed on the
     /// same ids must reproduce the incrementally maintained ρ and δ exactly.
-    /// With `keys = 0..n` this is identical to `fit` (same jitter function,
-    /// same phases).
+    /// With `keys = 0..n` this is identical to `fit` (same body, same jitter
+    /// function).
     pub fn fit_keyed(&self, data: &Dataset, keys: &[u64]) -> Result<DpcModel, DpcError> {
-        self.params.validate()?;
-        validate_dataset(data)?;
         if keys.len() != data.len() {
             return Err(DpcError::InvalidParams {
                 param: "jitter keys",
@@ -200,28 +212,42 @@ impl ExDpc {
                 requirement: "one stable id per dataset point",
             });
         }
+        self.fit_with_keys(data, |p| keys[p])
+    }
+
+    /// The one fit body behind [`DpcAlgorithm::fit`] (`key(p) = p`) and
+    /// [`ExDpc::fit_keyed`] (`key(p) = keys[p]`).
+    fn fit_with_keys(
+        &self,
+        data: &Dataset,
+        key: impl Fn(usize) -> u64,
+    ) -> Result<DpcModel, DpcError> {
+        self.params.validate()?;
+        validate_dataset(data)?;
         let mut timings = Timings::default();
 
         let start = Instant::now();
         let executor = Executor::new(self.params.threads);
         let tree = KdTree::build_parallel(data, &executor);
-        let dcut = self.params.dcut;
-        let seed = self.params.jitter_seed;
-        // Per-point loop (not the batched grid path): map_dynamic writes
-        // result `i` to slot `i`, so the keyed jitter is thread-invariant.
-        let rho = executor.map_dynamic(data.len(), |i| {
-            let count = tree.range_count(data.point(i), dcut, Some(i));
-            jittered_density_keyed(count, keys[i], seed)
-        });
+        let grid = self.query_grid(data, &executor);
+        let rho = self.keyed_densities(data, &tree, &grid, key);
         timings.rho_secs = start.elapsed().as_secs_f64();
         let index_bytes = tree.mem_usage();
-        drop(tree);
+        drop(tree); // §3: "Destroy K" before the dependent phase.
 
         let start = Instant::now();
         let (dependent, delta) = self.dependent_points(data, &rho);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
-        DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, index_bytes)
+        DpcModel::from_parts(
+            self.name(),
+            self.params.dcut,
+            rho,
+            delta,
+            dependent,
+            timings,
+            index_bytes,
+        )
     }
 
     /// Computes dependent points and distances given the local densities (the
@@ -260,30 +286,7 @@ impl DpcAlgorithm for ExDpc {
     }
 
     fn fit(&self, data: &Dataset) -> Result<DpcModel, DpcError> {
-        self.params.validate()?;
-        validate_dataset(data)?;
-        let mut timings = Timings::default();
-
-        let start = Instant::now();
-        let tree = KdTree::build_parallel(data, &Executor::new(self.params.threads));
-        let rho = self.local_densities(data, &tree);
-        timings.rho_secs = start.elapsed().as_secs_f64();
-        let index_bytes = tree.mem_usage();
-        drop(tree); // §3: "Destroy K" before the dependent phase.
-
-        let start = Instant::now();
-        let (dependent, delta) = self.dependent_points(data, &rho);
-        timings.delta_secs = start.elapsed().as_secs_f64();
-
-        DpcModel::from_parts(
-            self.name(),
-            self.params.dcut,
-            rho,
-            delta,
-            dependent,
-            timings,
-            index_bytes,
-        )
+        self.fit_with_keys(data, |p| p as u64)
     }
 }
 
@@ -294,15 +297,20 @@ mod tests {
     use dpc_data::generators::{gaussian_blobs, uniform};
     use dpc_geometry::dist;
 
-    /// Brute-force reference: exact ρ and δ per the definitions.
-    fn brute_force(data: &Dataset, params: &DpcParams) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
+    /// Brute-force reference: exact ρ and δ per the definitions, jittering
+    /// point `i` on `key(i)`.
+    fn brute_force(
+        data: &Dataset,
+        params: &DpcParams,
+        key: impl Fn(usize) -> u64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
         let n = data.len();
         let rho: Vec<f64> = (0..n)
             .map(|i| {
                 let count = (0..n)
                     .filter(|&j| j != i && dist(data.point(i), data.point(j)) <= params.dcut)
                     .count();
-                jittered_density(count, i, params.jitter_seed)
+                jittered_density_keyed(count, key(i), params.jitter_seed)
             })
             .collect();
         let mut delta = vec![f64::INFINITY; n];
@@ -326,7 +334,7 @@ mod tests {
         let data = uniform(400, 2, 100.0, 3);
         let params = DpcParams::new(8.0);
         let model = ExDpc::new(params).fit(&data).unwrap();
-        let (rho, delta, _) = brute_force(&data, &params);
+        let (rho, delta, _) = brute_force(&data, &params, |i| i as u64);
         for i in 0..data.len() {
             assert!((model.rho()[i] - rho[i]).abs() < 1e-9, "ρ mismatch at {i}");
             if delta[i].is_finite() {
@@ -425,26 +433,61 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_dcut_still_batches_on_a_valid_grid() {
+        // Cutoffs `fit` rejects, and one whose 8-d cell side underflows to
+        // zero, must still match the per-point loop.
+        let data = uniform(240, 8, 30.0, 33);
+        for dcut in [5e-324, f64::INFINITY, f64::NAN, -1.0] {
+            for threads in [1usize, 4] {
+                let exdpc = ExDpc::new(DpcParams::new(dcut).with_threads(threads));
+                let tree = KdTree::build(&data);
+                let batched = exdpc.local_densities(&data, &tree);
+                let per_point = exdpc.local_densities_per_point(&data, &tree);
+                assert_eq!(
+                    batched.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                    per_point.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                    "d_cut {dcut}, threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fit_keyed_with_identity_keys_matches_fit() {
-        let data = uniform(500, 2, 100.0, 44);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sets = [
+            uniform(500, 2, 100.0, 44),
+            // Duplicates: 600 points in 4 locations, so every δ below the
+            // top of a location is an exact-distance tie at 0.
+            Dataset::from_flat(
+                2,
+                (0..600).flat_map(|i| [(i % 4) as f64 * 30.0, (i % 4) as f64 * 30.0]).collect(),
+            ),
+        ];
         let params = DpcParams::new(7.0);
-        let plain = ExDpc::new(params).fit(&data).unwrap();
-        let keys: Vec<u64> = (0..data.len() as u64).collect();
-        for threads in [1usize, 4] {
-            let keyed = ExDpc::new(params.with_threads(threads)).fit_keyed(&data, &keys).unwrap();
-            assert_eq!(plain.rho(), keyed.rho(), "threads {threads}");
-            assert_eq!(plain.delta(), keyed.delta(), "threads {threads}");
-            assert_eq!(plain.dependent(), keyed.dependent(), "threads {threads}");
+        for (s, data) in sets.iter().enumerate() {
+            let n = data.len();
+            let keys: Vec<u64> = (0..n as u64).collect();
+            // Shifted keys change every jitter (and thus potentially
+            // tie-breaks); the keyed fit must still be exact.
+            let shifted: Vec<u64> = (0..n as u64).map(|k| k + 1_000_000).collect();
+            let (rho, delta, _) = brute_force(data, &params, |i| shifted[i]);
+            for threads in [1usize, 4] {
+                let ex = ExDpc::new(params.with_threads(threads));
+                let plain = ex.fit(data).unwrap();
+                let keyed = ex.fit_keyed(data, &keys).unwrap();
+                assert!(plain.layout_eq(&keyed), "set {s}, threads {threads}");
+                let other = ex.fit_keyed(data, &shifted).unwrap();
+                assert_eq!(bits(other.rho()), bits(&rho), "set {s}, threads {threads}");
+                assert_eq!(bits(other.delta()), bits(&delta), "set {s}, threads {threads}");
+                for i in 0..n {
+                    let dep = other.dependent()[i];
+                    assert!(dep == i || other.rho()[dep] > other.rho()[i], "set {s}, point {i}");
+                    assert_ne!(plain.rho()[i], other.rho()[i], "jitter must depend on the key");
+                }
+            }
         }
-        // Shifted keys change every jitter (and thus potentially tie-breaks)
-        // but never a point's integer count.
-        let shifted: Vec<u64> = (0..data.len() as u64).map(|k| k + 1_000_000).collect();
-        let other = ExDpc::new(params).fit_keyed(&data, &shifted).unwrap();
-        for i in 0..data.len() {
-            assert_eq!(plain.rho()[i].floor(), other.rho()[i].floor(), "count changed at {i}");
-            assert_ne!(plain.rho()[i], other.rho()[i], "jitter must depend on the key at {i}");
-        }
-        let err = ExDpc::new(params).fit_keyed(&data, &keys[..10]).unwrap_err();
+        let err = ExDpc::new(params).fit_keyed(&sets[0], &[0; 10]).unwrap_err();
         assert!(matches!(err, DpcError::InvalidParams { param: "jitter keys", .. }));
     }
 
@@ -453,10 +496,11 @@ mod tests {
         let data = uniform(600, 2, 100.0, 21);
         let params = DpcParams::new(6.0);
         let thresholds = Thresholds::new(1.0, 15.0).unwrap();
-        let seq = ExDpc::new(params.with_threads(1)).run(&data, &thresholds).unwrap();
-        let par = ExDpc::new(params.with_threads(4)).run(&data, &thresholds).unwrap();
-        assert_eq!(seq.rho, par.rho);
-        assert_eq!(seq.delta, par.delta);
+        let seq = ExDpc::new(params.with_threads(1)).fit(&data).unwrap();
+        let par = ExDpc::new(params.with_threads(4)).fit(&data).unwrap();
+        assert_eq!(seq.rho(), par.rho());
+        assert_eq!(seq.delta(), par.delta());
+        let (seq, par) = (seq.extract(&thresholds), par.extract(&thresholds));
         assert_eq!(seq.assignment, par.assignment);
         assert_eq!(seq.centers, par.centers);
     }

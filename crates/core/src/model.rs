@@ -77,16 +77,21 @@ impl DpcModel {
     /// cold load neither re-sorts the order nor risks re-deriving a different
     /// tie-break than the original fit.
     ///
-    /// The saved order is validated, not trusted: it must be a permutation of
-    /// `0..n` and must visit densities in non-increasing order (exactly what
-    /// [`DpcModel::from_parts`] produces), and every dependent identifier
-    /// must be in range. A violation means the artifact does not describe a
-    /// model this type could ever have produced.
+    /// The saved parts are validated, not trusted: every `ρ` must be finite
+    /// and every `δ` non-negative (`∞` allowed, NaN not); the order must be a
+    /// permutation of `0..n` that visits densities in non-increasing order
+    /// (exactly what [`DpcModel::from_parts`] produces); and every dependent
+    /// identifier must be in range and, unless the point depends on itself,
+    /// name a strictly denser point — otherwise the dependency forest has a
+    /// cycle and label propagation reads labels not yet assigned. A violation
+    /// means the artifact does not describe a model this type could ever
+    /// have produced.
     ///
     /// # Errors
     /// [`DpcError::DimensionMismatch`] when the arrays disagree in length;
-    /// [`DpcError::Corrupt`] when `order` is not a valid density order or a
-    /// dependent identifier is out of range.
+    /// [`DpcError::Corrupt`] for a non-finite `ρ`, a NaN or negative `δ`, an
+    /// invalid density order, or a dependent that is out of range or not
+    /// denser than its point.
     #[allow(clippy::too_many_arguments)]
     pub fn from_saved_parts(
         algorithm: &'static str,
@@ -111,26 +116,27 @@ impl DpcModel {
                 got: order.len(),
             });
         }
+        let corrupt = |what| Err(DpcError::Corrupt { section: "model", what });
+        if rho.iter().any(|r| !r.is_finite()) {
+            return corrupt("local density is not finite");
+        }
+        if delta.iter().any(|d| d.is_nan() || *d < 0.0) {
+            return corrupt("dependent distance is NaN or negative");
+        }
         if dependent.iter().any(|&q| q >= n) {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "dependent point identifier out of range",
-            });
+            return corrupt("dependent point identifier out of range");
+        }
+        if dependent.iter().enumerate().any(|(i, &q)| q != i && rho[q] <= rho[i]) {
+            return corrupt("dependent point is not denser than its point");
         }
         let mut seen = vec![false; n];
         for &i in &order {
             if i >= n || std::mem::replace(&mut seen[i], true) {
-                return Err(DpcError::Corrupt {
-                    section: "model",
-                    what: "density order is not a permutation",
-                });
+                return corrupt("density order is not a permutation");
             }
         }
         if order.windows(2).any(|w| rho[w[1]] > rho[w[0]]) {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "density order visits an increasing density",
-            });
+            return corrupt("density order visits an increasing density");
         }
         Ok(Self { algorithm, dcut, rho, delta, dependent, order, fit_timings, index_bytes })
     }
@@ -265,15 +271,7 @@ impl DpcModel {
             select_and_assign(thresholds, &self.rho, &self.delta, &self.dependent, &self.order);
         let mut timings = self.fit_timings;
         timings.assign_secs = start.elapsed().as_secs_f64();
-        Clustering {
-            rho: self.rho.clone(),
-            delta: self.delta.clone(),
-            dependent: self.dependent.clone(),
-            centers,
-            assignment,
-            timings,
-            index_bytes: self.index_bytes,
-        }
+        Clustering { centers, assignment, timings, index_bytes: self.index_bytes }
     }
 }
 
@@ -285,7 +283,7 @@ mod tests {
         //            0     1     2     3     4     5
         let rho = vec![10.0, 8.0, 6.0, 1.0, 9.0, 0.5];
         let delta = vec![f64::INFINITY, 1.0, 1.0, 1.0, 6.0, 1.0];
-        let dependent = vec![0, 0, 1, 5, 0, 4];
+        let dependent = vec![0, 0, 1, 2, 0, 4];
         DpcModel::from_parts(
             "toy",
             1.0,
@@ -352,7 +350,6 @@ mod tests {
         let c = m.extract(&t);
         assert_eq!(c.centers, vec![0, 4]);
         assert_eq!(c.assignment, vec![0, 0, 0, crate::NOISE, 1, crate::NOISE]);
-        assert_eq!(c.rho, m.rho());
         assert_eq!(c.index_bytes, 77);
         assert!((c.timings.rho_secs - 0.1).abs() < 1e-12);
         assert!(c.timings.assign_secs >= 0.0);
@@ -362,8 +359,7 @@ mod tests {
     fn repeated_extraction_sweeps_thresholds_without_refitting() {
         let m = toy_model();
         // Raising δ_min monotonically prunes centres; the model is untouched.
-        // (ρ_min stays at 2.0: the toy's low-density points carry a deliberately
-        // bogus dependency to exercise noise propagation.)
+        // (ρ_min stays at 2.0, so the toy's low-density points stay noise.)
         let mut last_centers = usize::MAX;
         for delta_min in [0.5, 5.0, 100.0] {
             let c = m.extract(&Thresholds::new(2.0, delta_min).unwrap());
@@ -454,7 +450,7 @@ mod tests {
             m.dcut(),
             m.rho().to_vec(),
             m.delta().to_vec(),
-            vec![0, 0, 1, 5, 0, 99],
+            vec![0, 0, 1, 2, 0, 99],
             m.density_order().to_vec(),
             Timings::default(),
             m.index_bytes(),

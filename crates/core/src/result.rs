@@ -22,19 +22,12 @@ impl Timings {
     }
 }
 
-/// The full output of a DPC run.
+/// The answer of one threshold choice — centres, labels, timings and index
+/// bytes — as [`DpcModel::extract`](crate::DpcModel::extract) computes it.
+/// The per-point `ρ`, `δ` and dependent points stay in the fitted
+/// [`DpcModel`](crate::DpcModel), which also draws the decision graph.
 #[derive(Clone, Debug)]
 pub struct Clustering {
-    /// Local density `ρ_i` of every point (integer count plus the deterministic
-    /// tie-breaking jitter in `(0, 1)`).
-    pub rho: Vec<f64>,
-    /// Dependent distance `δ_i` of every point. The globally densest point has
-    /// `δ = ∞`; approximation algorithms may report `d_cut` for points whose
-    /// dependent point was approximated (§4.3).
-    pub delta: Vec<f64>,
-    /// Dependent point `q_i` of every point; cluster centres and the globally
-    /// densest point depend on themselves.
-    pub dependent: Vec<usize>,
     /// Identifiers of the selected cluster centres, in ascending order of id.
     pub centers: Vec<usize>,
     /// Per-point cluster label (`0..centers.len()`), or [`NOISE`].
@@ -80,11 +73,6 @@ impl Clustering {
             .filter(|(_, &l)| l == cluster as i64)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Builds the decision graph (the `⟨ρ_i, δ_i⟩` scatter of Figure 1).
-    pub fn decision_graph(&self) -> DecisionGraph {
-        DecisionGraph { points: self.rho.iter().copied().zip(self.delta.iter().copied()).collect() }
     }
 }
 
@@ -157,9 +145,6 @@ mod tests {
 
     fn sample_clustering() -> Clustering {
         Clustering {
-            rho: vec![5.2, 3.1, 9.7, 0.4, 4.5],
-            delta: vec![2.0, 1.0, f64::INFINITY, 0.5, 10.0],
-            dependent: vec![2, 0, 2, 1, 4],
             centers: vec![2, 4],
             assignment: vec![0, 0, 0, NOISE, 1],
             timings: Timings { rho_secs: 1.0, delta_secs: 2.0, assign_secs: 0.5 },
@@ -178,14 +163,6 @@ mod tests {
         assert_eq!(c.members(1), vec![4]);
         assert_eq!(c.labels()[3], NOISE);
         assert!((c.timings.total_secs() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn decision_graph_round_trip() {
-        let c = sample_clustering();
-        let g = c.decision_graph();
-        assert_eq!(g.len(), 5);
-        assert_eq!(g.points[2], (9.7, f64::INFINITY));
     }
 
     #[test]
@@ -227,8 +204,10 @@ mod tests {
 
     #[test]
     fn by_decreasing_delta_sorted() {
-        let c = sample_clustering();
-        let rows = c.decision_graph().by_decreasing_delta();
+        let g = DecisionGraph {
+            points: vec![(5.2, 2.0), (3.1, 1.0), (9.7, f64::INFINITY), (0.4, 0.5), (4.5, 10.0)],
+        };
+        let rows = g.by_decreasing_delta();
         assert_eq!(rows[0].0, 2); // infinite δ first
         assert_eq!(rows[1].0, 4);
         for w in rows.windows(2) {

@@ -434,13 +434,12 @@ mod tests {
         let data = random_walk(2_000, 4, 1e4, 3);
         let params = DpcParams::new(80.0);
         let thresholds = Thresholds::new(2.0, 300.0).unwrap();
-        let seq = SApproxDpc::new(params.with_threads(1)).with_epsilon(0.6).run(&data, &thresholds);
-        let par = SApproxDpc::new(params.with_threads(4)).with_epsilon(0.6).run(&data, &thresholds);
-        let (seq, par) = (seq.unwrap(), par.unwrap());
-        assert_eq!(seq.rho, par.rho);
-        assert_eq!(seq.delta, par.delta);
-        assert_eq!(seq.dependent, par.dependent);
-        assert_eq!(seq.assignment, par.assignment);
+        let seq = SApproxDpc::new(params.with_threads(1)).with_epsilon(0.6).fit(&data).unwrap();
+        let par = SApproxDpc::new(params.with_threads(4)).with_epsilon(0.6).fit(&data).unwrap();
+        assert_eq!(seq.rho(), par.rho());
+        assert_eq!(seq.delta(), par.delta());
+        assert_eq!(seq.dependent(), par.dependent());
+        assert_eq!(seq.extract(&thresholds).assignment, par.extract(&thresholds).assignment);
     }
 
     #[test]

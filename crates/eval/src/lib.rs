@@ -7,6 +7,8 @@
 //! is fine but callers want an `O(pairs)` spot check, plus small helpers used
 //! by the benchmark harness (formatting, memory conversion).
 
+#![forbid(unsafe_code)]
+
 pub mod rand_index;
 pub mod report;
 

@@ -114,9 +114,10 @@ impl PackedNode {
     }
 }
 
-/// A packed static kd-tree over the points of a borrowed [`Dataset`].
-pub struct KdTree<'a> {
-    data: &'a Dataset,
+/// A packed static kd-tree over the points of a [`Dataset`]. The tree owns a
+/// copy of the coordinates it indexes (`coords`), so it outlives the dataset
+/// it was built from and every query reads only its own storage.
+pub struct KdTree {
     dim: usize,
     /// Point identifiers in packed (partition) order.
     ids: Vec<u32>,
@@ -133,9 +134,9 @@ pub struct KdTree<'a> {
     bounds: Vec<f64>,
 }
 
-impl<'a> KdTree<'a> {
+impl KdTree {
     /// Builds the packed tree over every point of `data`, serially.
-    pub fn build(data: &'a Dataset) -> Self {
+    pub fn build(data: &Dataset) -> Self {
         Self::build_parallel(data, &Executor::single())
     }
 
@@ -149,7 +150,7 @@ impl<'a> KdTree<'a> {
     /// disjoint pre-reserved slices of the same arrays the serial build
     /// fills, with the same deterministic median selection. Datasets smaller
     /// than a fork threshold build inline with zero spawns.
-    pub fn build_parallel(data: &'a Dataset, executor: &Executor) -> Self {
+    pub fn build_parallel(data: &Dataset, executor: &Executor) -> Self {
         let ids: Vec<u32> = (0..data.len() as u32).collect();
         let mut tree = Self::build_from_ids(data, ids, executor);
         let mut pos = vec![NONE; data.len()];
@@ -166,17 +167,16 @@ impl<'a> KdTree<'a> {
     /// `P` into `s` subsets ordered by local density and indexes each one —
     /// the subset trees are built concurrently (one task per subset), so each
     /// individual build stays serial.
-    pub fn build_subset(data: &'a Dataset, ids: &[usize]) -> Self {
+    pub fn build_subset(data: &Dataset, ids: &[usize]) -> Self {
         let ids: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
         Self::build_from_ids(data, ids, &Executor::single())
     }
 
-    fn build_from_ids(data: &'a Dataset, mut ids: Vec<u32>, executor: &Executor) -> Self {
+    fn build_from_ids(data: &Dataset, mut ids: Vec<u32>, executor: &Executor) -> Self {
         let dim = data.dim();
         let n = ids.len();
         if n == 0 {
             return Self {
-                data,
                 dim,
                 ids,
                 coords: Vec::new(),
@@ -206,7 +206,7 @@ impl<'a> KdTree<'a> {
             fork_levels,
         );
         debug_assert_eq!(written, total_nodes, "preorder node count must be exact");
-        Self { data, dim, ids, coords, pos: None, nodes, bounds }
+        Self { dim, ids, coords, pos: None, nodes, bounds }
     }
 
     /// Number of points in the tree.
@@ -285,11 +285,6 @@ impl<'a> KdTree<'a> {
         self.packed_parts().nearest_neighbor(query, exclude)
     }
 
-    /// The backing dataset.
-    pub fn dataset(&self) -> &'a Dataset {
-        self.data
-    }
-
     /// Whether two trees have bit-identical packed layouts: same permuted
     /// identifiers, packed coordinate rows, preorder nodes and bounding boxes
     /// (floats compared by bit pattern, so even a `-0.0` vs `0.0` discrepancy
@@ -337,7 +332,7 @@ impl<'a> KdTree<'a> {
     /// A static description of the first violated invariant, for the caller
     /// to wrap in its own error type.
     pub fn from_packed_parts(
-        data: &'a Dataset,
+        data: &Dataset,
         ids: Vec<u32>,
         coords: Vec<f64>,
         pos: Option<Vec<u32>>,
@@ -411,7 +406,7 @@ impl<'a> KdTree<'a> {
                 return Err("node bounding box disagrees with its packed points");
             }
         }
-        Ok(Self { data, dim, ids, coords, pos, nodes, bounds })
+        Ok(Self { dim, ids, coords, pos, nodes, bounds })
     }
 }
 
@@ -1141,7 +1136,7 @@ mod tests {
 
     /// Destructure a tree into owned copies of its packed storage, the way a
     /// decoder hands parts back to [`KdTree::from_packed_parts`].
-    fn parts_of(tree: &KdTree<'_>) -> OwnedParts {
+    fn parts_of(tree: &KdTree) -> OwnedParts {
         let p = tree.packed_parts();
         (
             p.ids.to_vec(),
@@ -1281,6 +1276,5 @@ mod tests {
         let ds = random_dataset(128, 2, 2);
         let tree = KdTree::build(&ds);
         assert!(tree.mem_usage() >= 128 * std::mem::size_of::<u32>());
-        assert!(std::ptr::eq(tree.dataset(), &ds));
     }
 }

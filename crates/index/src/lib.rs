@@ -29,6 +29,8 @@
 //!   bit-identical to the corresponding single-query call — see the module's
 //!   determinism contract.
 
+#![forbid(unsafe_code)]
+
 pub mod batchq;
 pub mod grid;
 pub mod incremental;

@@ -45,7 +45,7 @@ fn gather_rows(data: &Dataset, ids: &[usize]) -> Vec<f64> {
 /// the single-query traversals, for the given radii and exclusions.
 fn assert_bucket_identity(
     data: &Dataset,
-    tree: &KdTree<'_>,
+    tree: &KdTree,
     query_ids: &[usize],
     radii: &[f64],
     exclude: &[u32],

@@ -25,6 +25,8 @@
 //! single-threaded numbers reported by the benchmark harness contain no
 //! synchronisation overhead.
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 pub mod partition;
 

@@ -88,9 +88,11 @@ impl PersistModel for DpcModel {
 
 /// Persistence for [`KdTree`]: `tree.to_bytes()` and
 /// `KdTree::from_bytes(&data, &bytes)` (import the trait to use them).
-/// Decoding borrows the dataset the tree indexes — the packed storage must
-/// agree with it bitwise, which [`KdTree::from_packed_parts`] enforces.
-pub trait PersistTree<'a>: Sized {
+/// Decoding validates the packed storage against the dataset the tree
+/// indexes — it must agree with `data` bitwise, which
+/// [`KdTree::from_packed_parts`] enforces — and returns a tree that owns its
+/// storage; `data` is read only during the call.
+pub trait PersistTree: Sized {
     /// Encodes the tree's packed storage into a standalone artifact buffer.
     fn to_bytes(&self) -> Vec<u8>;
 
@@ -103,21 +105,21 @@ pub trait PersistTree<'a>: Sized {
     /// [`DpcError::TruncatedArtifact`] when the buffer is shorter than its
     /// header or sections claim, [`DpcError::Corrupt`] for every other
     /// validation failure.
-    fn from_bytes(data: &'a Dataset, bytes: &[u8]) -> Result<Self, DpcError>;
+    fn from_bytes(data: &Dataset, bytes: &[u8]) -> Result<Self, DpcError>;
 
     /// Parses a zero-copy borrowed view that answers queries straight off
     /// `bytes`, with no dataset needed.
     fn view(bytes: &[u8]) -> Result<KdTreeRef<'_>, DpcError>;
 }
 
-impl<'a> PersistTree<'a> for KdTree<'a> {
+impl PersistTree for KdTree {
     fn to_bytes(&self) -> Vec<u8> {
         let mut writer = format::ArtifactWriter::new();
         tree::write_tree_sections(&mut writer, self);
         writer.finish()
     }
 
-    fn from_bytes(data: &'a Dataset, bytes: &[u8]) -> Result<Self, DpcError> {
+    fn from_bytes(data: &Dataset, bytes: &[u8]) -> Result<Self, DpcError> {
         Self::view(bytes)?.to_tree(data)
     }
 

@@ -38,7 +38,7 @@ impl<'a> SnapshotArtifact<'a> {
     pub fn encode(
         data: &Dataset,
         model: &DpcModel,
-        tree: &KdTree<'_>,
+        tree: &KdTree,
         thresholds: &Thresholds,
     ) -> Vec<u8> {
         assert_eq!(model.n(), data.len(), "model and dataset point counts disagree");

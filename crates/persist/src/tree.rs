@@ -12,7 +12,7 @@ use crate::format::{kind, view_slice, ArtifactWriter, Cursor, PayloadExt, Sectio
 
 /// Appends the tree sections to an artifact under construction. Shared by the
 /// standalone tree artifact and the combined snapshot artifact.
-pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree<'_>) {
+pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree) {
     let parts = tree.packed_parts();
     let mut meta = Vec::new();
     meta.put_u64(parts.dim as u64);
@@ -195,11 +195,11 @@ impl<'a> KdTreeRef<'a> {
         self.packed_parts().nearest_neighbor(query, exclude)
     }
 
-    /// Materialises an owned [`KdTree`] borrowing `data`, through the
-    /// exhaustively validating [`KdTree::from_packed_parts`] — the decoded
-    /// storage must agree with `data` bitwise, so a tree persisted against
-    /// one dataset cannot be silently revived against another.
-    pub fn to_tree<'d>(&self, data: &'d Dataset) -> Result<KdTree<'d>, DpcError> {
+    /// Materialises an owned [`KdTree`], validated against `data` through the
+    /// exhaustive [`KdTree::from_packed_parts`] — the decoded storage must
+    /// agree with `data` bitwise, so a tree persisted against one dataset
+    /// cannot be silently revived against another.
+    pub fn to_tree(&self, data: &Dataset) -> Result<KdTree, DpcError> {
         KdTree::from_packed_parts(
             data,
             self.ids.to_vec(),

@@ -7,11 +7,13 @@
 //! and echoed on entry, so any CI failure replays locally with
 //! `PERSIST_FUZZ_SEED=<seed> cargo test -p dpc-persist --test corruption`.
 
+use dpc_core::framework::descending_density_order;
 use dpc_core::{DpcError, DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
 use dpc_index::KdTree;
 use dpc_persist::{PersistModel, PersistTree, SnapshotArtifact};
 use dpc_rng::StdRng;
+use dpc_serve::Snapshot;
 
 /// Mutations per artifact flavour; three flavours ⇒ ≥ 1200 decodes total.
 const MUTATIONS_PER_ARTIFACT: usize = 400;
@@ -39,11 +41,18 @@ fn fixture_dataset() -> Dataset {
     data
 }
 
+/// Random densities and distances with a valid dependency forest: every
+/// point depends on the next denser point, the densest on itself. A valid
+/// model decodes, so every rejection below is the mutation's doing.
 fn fixture_model(n: usize) -> DpcModel {
     let mut rng = StdRng::seed_from_u64(42);
     let rho: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..50.0)).collect();
     let delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..5.0)).collect();
-    let dependent: Vec<usize> = (0..n).map(|_| (rng.next_u64() % n as u64) as usize).collect();
+    let order = descending_density_order(&rho);
+    let mut dependent: Vec<usize> = (0..n).collect();
+    for w in order.windows(2) {
+        dependent[w[1]] = w[0];
+    }
     DpcModel::from_parts("Ex-DPC", 2.0, rho, delta, dependent, Timings::default(), 64).unwrap()
 }
 
@@ -196,4 +205,58 @@ fn wrong_flavour_is_rejected_not_misread() {
     };
     assert!(matches!(err, DpcError::Corrupt { section: "tree", .. }), "got {err:?}");
     assert!(SnapshotArtifact::from_bytes(&model_bytes).is_err());
+}
+
+/// Semantic mutants: models whose checksums are genuine (encoded through
+/// [`SnapshotArtifact::encode`]) but whose content no fit could produce.
+/// Each must come back as a typed `Corrupt { section: "model" }` from the
+/// model decoder and from a serving snapshot load — never install, never
+/// panic in label propagation.
+#[test]
+fn semantic_model_mutants_are_rejected_at_load() {
+    type Parts = (Vec<f64>, Vec<f64>, Vec<usize>);
+    type Mutation = fn(&mut Parts, &[usize]);
+    let data = fixture_dataset();
+    let base = fixture_model(data.len());
+    let tree = KdTree::build(&data);
+    let thresholds = Thresholds::new(1.0, 2.0).unwrap();
+    let order = base.density_order().to_vec();
+    let mutants: [(&str, Mutation); 6] = [
+        // The runner-up then follows the second-least dense point.
+        ("swapped dependents", |(_, _, dep), o| dep.swap(o[1], o[o.len() - 1])),
+        ("dependent on a less dense point", |(_, _, dep), o| dep[o[5]] = o[10]),
+        ("NaN rho", |(rho, _, _), o| rho[o[7]] = f64::NAN),
+        ("infinite rho", |(rho, _, _), o| rho[o[0]] = f64::INFINITY),
+        ("NaN delta", |(_, delta, _), o| delta[o[3]] = f64::NAN),
+        ("negative delta", |(_, delta, _), o| delta[o[3]] = -1.0),
+    ];
+    let encode = |(rho, delta, dep): Parts| {
+        let model =
+            DpcModel::from_parts("Ex-DPC", 2.0, rho, delta, dep, Timings::default(), 64).unwrap();
+        SnapshotArtifact::encode(&data, &model, &tree, &thresholds)
+    };
+    let parts =
+        || -> Parts { (base.rho().to_vec(), base.delta().to_vec(), base.dependent().to_vec()) };
+
+    let genuine = encode(parts());
+    assert!(DpcModel::from_bytes(&genuine).unwrap().layout_eq(&base));
+    assert!(Snapshot::from_artifact_bytes(&genuine).is_ok());
+
+    for (name, mutate) in mutants {
+        let mut mutant = parts();
+        mutate(&mut mutant, &order);
+        let bytes = encode(mutant);
+        let model_err = DpcModel::from_bytes(&bytes).map(drop).unwrap_err();
+        assert!(
+            matches!(model_err, DpcError::Corrupt { section: "model", .. }),
+            "{name}: {model_err:?}"
+        );
+        let Err(snap_err) = Snapshot::from_artifact_bytes(&bytes) else {
+            panic!("{name}: a serving snapshot installed the mutant")
+        };
+        assert!(
+            matches!(snap_err, DpcError::Corrupt { section: "model", .. }),
+            "{name}: {snap_err:?}"
+        );
+    }
 }

@@ -3,6 +3,7 @@
 //! zeros, empty and subset trees — plus the misaligned-slice decode that
 //! exercises the documented copy fallback.
 
+use dpc_core::framework::descending_density_order;
 use dpc_core::{DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
 use dpc_index::KdTree;
@@ -19,9 +20,10 @@ fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     data
 }
 
-/// A structurally valid random model: densities drawn at random (including
-/// the edge floats the format must carry bit-exactly), dependent points any
-/// in-range identifier, density order derived by `from_parts` itself.
+/// A valid random model: densities drawn at random (including the edge
+/// floats the format must carry bit-exactly), each dependent point a random
+/// strictly denser point or the point itself, density order derived by
+/// `from_parts` itself.
 fn random_model(n: usize, seed: u64) -> DpcModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let rho: Vec<f64> = (0..n)
@@ -33,7 +35,14 @@ fn random_model(n: usize, seed: u64) -> DpcModel {
         })
         .collect();
     let delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let dependent: Vec<usize> = (0..n).map(|_| (rng.next_u64() % n as u64) as usize).collect();
+    let order = descending_density_order(&rho);
+    let mut dependent: Vec<usize> = (0..n).collect();
+    for k in 1..n {
+        let q = order[(rng.next_u64() % k as u64) as usize];
+        if rho[q] > rho[order[k]] {
+            dependent[order[k]] = q;
+        }
+    }
     let timings =
         Timings { rho_secs: rng.gen_f64(), delta_secs: rng.gen_f64(), assign_secs: rng.gen_f64() };
     DpcModel::from_parts("Ex-DPC", rng.gen_range(0.5..5.0), rho, delta, dependent, timings, 1234)

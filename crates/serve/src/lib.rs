@@ -77,7 +77,7 @@
 //! [`DpcServer::handle`]; every response names the single epoch it was
 //! computed against.
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod assign;
 mod error;

@@ -9,26 +9,6 @@
 //! has been replaced in the [`ModelStore`](crate::ModelStore) stays fully
 //! usable until its last reader drops it — old epochs drain naturally, and no
 //! request can observe half of one epoch and half of another.
-//!
-//! # Why there is `unsafe` here
-//!
-//! [`KdTree`] borrows the dataset it indexes (`KdTree<'a>` over
-//! `&'a Dataset`), which a long-lived snapshot cannot express in safe Rust:
-//! the snapshot owns the dataset *and* the tree borrowing it. The standard
-//! owner-plus-borrower construction is used instead: the dataset lives on the
-//! heap behind an [`Arc`] (its address is stable no matter where the `Arc`
-//! itself moves), the tree is built against that heap allocation, and the
-//! borrow is extended to `'static` inside [`Snapshot::new`]. Soundness rests
-//! on three invariants, each enforced structurally:
-//!
-//! 1. the `Arc<Dataset>` lives in the same struct and is never removed, so
-//!    the pointee outlives the tree;
-//! 2. the dataset is never mutated — `Dataset` has no interior mutability and
-//!    an `Arc` refuses `get_mut` while the snapshot holds a reference;
-//! 3. the fabricated `'static` lifetime never escapes: [`Snapshot::tree`]
-//!    re-brackets the borrow to the snapshot's own lifetime (a safe variance
-//!    coercion), so callers cannot obtain a `&'static Dataset` through
-//!    [`KdTree::dataset`].
 
 use std::sync::Arc;
 
@@ -42,11 +22,8 @@ use dpc_persist::SnapshotArtifact;
 /// permuted coordinates, and the clustering cached for the snapshot's default
 /// thresholds. Immutable after construction; shared by `Arc`.
 pub struct Snapshot {
-    /// Declared first so it drops before `data` (fields drop in declaration
-    /// order). The tree's drop never dereferences the dataset, but keeping
-    /// the borrower ahead of its owner makes the invariant locally obvious.
-    tree: KdTree<'static>,
     data: Arc<Dataset>,
+    tree: KdTree,
     model: DpcModel,
     /// The clustering extracted at `thresholds`, cached so `Assign` can walk
     /// a dependency chain in `O(1)` (the `O(n)` label propagation already
@@ -80,16 +57,9 @@ impl Snapshot {
             model.n(),
             data.len()
         );
-        // SAFETY: `data` is heap-allocated behind an `Arc` whose allocation
-        // address is stable across moves of the handle; the `Arc` is stored
-        // in the same struct as the tree and never dropped, replaced or
-        // mutated while the tree exists; and the `'static` borrow is only
-        // ever re-exposed at the snapshot's own lifetime (see
-        // [`Snapshot::tree`]). See the module docs for the full argument.
-        let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
-        let tree = KdTree::build_parallel(data_ref, executor);
+        let tree = KdTree::build_parallel(&data, executor);
         let clustering = model.extract(&thresholds);
-        Self { tree, data, model, clustering, thresholds, epoch: 0 }
+        Self { data, tree, model, clustering, thresholds, epoch: 0 }
     }
 
     /// Serialises this epoch into a single snapshot artifact buffer
@@ -122,13 +92,9 @@ impl Snapshot {
         let data = Arc::new(artifact.dataset());
         let model = artifact.model().to_model()?;
         let thresholds = artifact.thresholds();
-        // SAFETY: identical bracket to `Snapshot::new` — `data` is behind an
-        // `Arc` stored in the same struct, never mutated or replaced, and the
-        // fabricated `'static` never escapes (see the module docs).
-        let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
-        let tree = artifact.tree().to_tree(data_ref)?;
+        let tree = artifact.tree().to_tree(&data)?;
         let clustering = model.extract(&thresholds);
-        Ok(Self { tree, data, model, clustering, thresholds, epoch: 0 })
+        Ok(Self { data, tree, model, clustering, thresholds, epoch: 0 })
     }
 
     /// The epoch this snapshot was installed as (unique and monotonically
@@ -153,10 +119,8 @@ impl Snapshot {
         &self.model
     }
 
-    /// The packed kd-tree over the snapshot's dataset. The returned borrow is
-    /// bracketed to the snapshot's lifetime — the internally extended
-    /// `'static` never escapes.
-    pub fn tree(&self) -> &KdTree<'_> {
+    /// The packed kd-tree over the snapshot's dataset.
+    pub fn tree(&self) -> &KdTree {
         &self.tree
     }
 
@@ -200,8 +164,7 @@ impl Snapshot {
 }
 
 // `Snapshot` is shared across reader and writer threads through `Arc`; all
-// fields are immutable after construction and every field is `Send + Sync`
-// (the `&'static Dataset` inside the tree points at the `Arc` allocation).
+// fields are immutable after construction and every field is `Send + Sync`.
 // The explicit assertions keep a future non-Sync field from compiling.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -366,11 +366,11 @@ fn assigning_an_in_dataset_point_returns_its_own_extract_label() {
             a.label, ground_truth.assignment[i],
             "point {i}: served label diverged from extract"
         );
-        assert_eq!(a.rho.to_bits(), ground_truth.rho[i].to_bits());
-        assert_eq!(a.delta.to_bits(), ground_truth.delta[i].to_bits());
+        assert_eq!(a.rho.to_bits(), model.rho()[i].to_bits());
+        assert_eq!(a.delta.to_bits(), model.delta()[i].to_bits());
         match a.dependent {
-            Some(dep) => assert_eq!(dep, ground_truth.dependent[i]),
-            None => assert_eq!(ground_truth.dependent[i], i, "only self-dependent points"),
+            Some(dep) => assert_eq!(dep, model.dependent()[i]),
+            None => assert_eq!(model.dependent()[i], i, "only self-dependent points"),
         }
     }
 }

@@ -72,6 +72,8 @@
 //! The format is specified in `crates/persist/README.md` and pinned by the
 //! golden artifacts under `tests/golden/`.
 
+#![forbid(unsafe_code)]
+
 pub use dpc_baselines as baselines;
 pub use dpc_core as core;
 pub use dpc_data as data;

@@ -45,14 +45,16 @@ fn exact_algorithms_agree_bit_for_bit() {
     let data = RealDataset::Household.generate_with(3_000, 5);
     let params = DpcParams::new(1_000.0);
     let thresholds = Thresholds::new(5.0, 3_000.0).unwrap();
-    let ex = ExDpc::new(params).run(&data, &thresholds).unwrap();
-    let scan = Scan::new(params).run(&data, &thresholds).unwrap();
-    let rtree = RtreeScan::new(params).run(&data, &thresholds).unwrap();
-    let cfsfdp = CfsfdpA::new(params).run(&data, &thresholds).unwrap();
+    let ex = ExDpc::new(params).fit(&data).unwrap();
+    let scan = Scan::new(params).fit(&data).unwrap();
+    let rtree = RtreeScan::new(params).fit(&data).unwrap();
+    let cfsfdp = CfsfdpA::new(params).fit(&data).unwrap();
+    let ex_clustering = ex.extract(&thresholds);
     for (name, other) in [("Scan", &scan), ("R-tree + Scan", &rtree), ("CFSFDP-A", &cfsfdp)] {
-        assert_eq!(ex.rho, other.rho, "{name} densities differ");
-        assert_eq!(ex.centers, other.centers, "{name} centres differ");
-        assert_eq!(ex.assignment, other.assignment, "{name} labels differ");
+        assert_eq!(ex.rho(), other.rho(), "{name} densities differ");
+        let other = other.extract(&thresholds);
+        assert_eq!(ex_clustering.centers, other.centers, "{name} centres differ");
+        assert_eq!(ex_clustering.assignment, other.assignment, "{name} labels differ");
     }
 }
 
@@ -127,21 +129,25 @@ fn thread_count_never_changes_results() {
     for (name, algo_builder) in
         [("Ex-DPC", 0usize), ("Approx-DPC", 1), ("S-Approx-DPC", 2), ("Scan", 3), ("LSH-DDP", 4)]
     {
-        let run = |threads: usize| -> Clustering {
+        let fit = |threads: usize| -> DpcModel {
             let params = base.with_threads(threads);
             let result = match algo_builder {
-                0 => ExDpc::new(params).run(&data, &thresholds),
-                1 => ApproxDpc::new(params).run(&data, &thresholds),
-                2 => SApproxDpc::new(params).with_epsilon(0.6).run(&data, &thresholds),
-                3 => Scan::new(params).run(&data, &thresholds),
-                _ => LshDdp::new(params).run(&data, &thresholds),
+                0 => ExDpc::new(params).fit(&data),
+                1 => ApproxDpc::new(params).fit(&data),
+                2 => SApproxDpc::new(params).with_epsilon(0.6).fit(&data),
+                3 => Scan::new(params).fit(&data),
+                _ => LshDdp::new(params).fit(&data),
             };
             result.unwrap()
         };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.assignment, b.assignment, "{name} differs across thread counts");
-        assert_eq!(a.rho, b.rho, "{name} densities differ across thread counts");
+        let a = fit(1);
+        let b = fit(4);
+        assert_eq!(
+            a.extract(&thresholds).assignment,
+            b.extract(&thresholds).assignment,
+            "{name} differs across thread counts"
+        );
+        assert_eq!(a.rho(), b.rho(), "{name} densities differ across thread counts");
     }
 }
 

@@ -42,13 +42,15 @@ fn extract_equals_monolithic_run_across_a_threshold_grid() {
         for (ti, thresholds) in threshold_grid(dcut).iter().enumerate() {
             let from_model = model.extract(thresholds);
             // …versus a fresh fit + extract for every threshold choice.
-            let monolithic = algo.run(&data, thresholds).unwrap();
-            assert_eq!(from_model.rho, monolithic.rho, "{name} grid #{ti}: ρ differs");
-            assert_eq!(from_model.delta, monolithic.delta, "{name} grid #{ti}: δ differs");
+            let fresh = algo.fit(&data).unwrap();
+            assert_eq!(model.rho(), fresh.rho(), "{name} grid #{ti}: ρ differs");
+            assert_eq!(model.delta(), fresh.delta(), "{name} grid #{ti}: δ differs");
             assert_eq!(
-                from_model.dependent, monolithic.dependent,
+                model.dependent(),
+                fresh.dependent(),
                 "{name} grid #{ti}: dependents differ"
             );
+            let monolithic = fresh.extract(thresholds);
             assert_eq!(from_model.centers, monolithic.centers, "{name} grid #{ti}: centres differ");
             assert_eq!(
                 from_model.assignment, monolithic.assignment,

@@ -166,8 +166,6 @@ fn packed_fit_is_bit_identical_to_seed_tree_fit() {
         let b = seed_model.extract(&thresholds);
         assert_eq!(a.assignment, b.assignment, "seed {seed}: clustering differs");
         assert_eq!(a.centers, b.centers, "seed {seed}");
-        assert_eq!(a.rho, b.rho, "seed {seed}");
-        assert_eq!(a.delta, b.delta, "seed {seed}");
     }
 }
 
@@ -440,9 +438,10 @@ fn scan_and_exdpc_are_identical() {
         let dcut = rng.gen_range(1.0..40.0);
         let params = DpcParams::new(dcut);
         let thresholds = Thresholds::new(1.0, 2.0 * dcut).unwrap();
-        let a = Scan::new(params).run(&ds, &thresholds).unwrap();
-        let b = ExDpc::new(params).run(&ds, &thresholds).unwrap();
-        assert_eq!(a.rho, b.rho, "seed {seed}");
+        let a = Scan::new(params).fit(&ds).unwrap();
+        let b = ExDpc::new(params).fit(&ds).unwrap();
+        assert_eq!(a.rho(), b.rho(), "seed {seed}");
+        let (a, b) = (a.extract(&thresholds), b.extract(&thresholds));
         assert_eq!(a.centers, b.centers, "seed {seed}");
         assert_eq!(a.assignment, b.assignment, "seed {seed}");
     }
@@ -470,24 +469,21 @@ fn dpc_dependency_structure_invariants() {
         let dcut = rng.gen_range(1.0..30.0);
         let params = DpcParams::new(dcut);
         let thresholds = Thresholds::new(0.0, 2.0 * dcut).unwrap();
-        for clustering in [
-            ExDpc::new(params).run(&ds, &thresholds).unwrap(),
-            ApproxDpc::new(params).run(&ds, &thresholds).unwrap(),
-            SApproxDpc::new(params).with_epsilon(0.7).run(&ds, &thresholds).unwrap(),
+        for model in [
+            ExDpc::new(params).fit(&ds).unwrap(),
+            ApproxDpc::new(params).fit(&ds).unwrap(),
+            SApproxDpc::new(params).with_epsilon(0.7).fit(&ds).unwrap(),
         ] {
+            let clustering = model.extract(&thresholds);
             // Exactly one point (the densest) has an infinite dependent distance.
-            assert_eq!(
-                clustering.delta.iter().filter(|d| d.is_infinite()).count(),
-                1,
-                "seed {seed}"
-            );
+            assert_eq!(model.delta().iter().filter(|d| d.is_infinite()).count(), 1, "seed {seed}");
             // Dependencies always point to strictly higher density; non-centre
             // points inherit their dependent point's label (centres start their
             // own cluster regardless of where they depend).
             for i in 0..ds.len() {
-                let dep = clustering.dependent[i];
+                let dep = model.dependent()[i];
                 if dep != i {
-                    assert!(clustering.rho[dep] > clustering.rho[i], "seed {seed}");
+                    assert!(model.rho()[dep] > model.rho()[i], "seed {seed}");
                     if clustering.assignment[i] >= 0 && !clustering.centers.contains(&i) {
                         assert_eq!(
                             clustering.assignment[i], clustering.assignment[dep],
