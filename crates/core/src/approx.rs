@@ -8,6 +8,10 @@
 //!   search per *cell* (query = cell centre `cp_i`, radius
 //!   `d_cut + dist(cp_i, p′)`) returns a superset of every per-point ball in
 //!   the cell; exact densities are then computed by scanning that superset.
+//!   The per-cell searches are one `dpc_index::batchq::search_grid_cells`
+//!   call: neighbouring cells share one tree descent, the buckets fan out
+//!   across the workers, and the supersets come back in cell order. A
+//!   `d_cut` whose cell side underflows to zero is an `InvalidParams` error.
 //!   The superset's coordinates are gathered into contiguous rows once per
 //!   cell, so the per-member scans run on the batched (optionally SIMD)
 //!   `dpc_geometry::batch` kernels with the shared closed-ball semantics.
@@ -26,12 +30,12 @@
 use std::time::Instant;
 
 use dpc_geometry::{batch, dist, Dataset};
-use dpc_index::batchq::{self, BatchRangeSearch};
+use dpc_index::batchq;
 use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{ascending_density_order, jittered_density, validate_dataset};
+use crate::framework::{ascending_density_order, grid_side, jittered_density, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -77,101 +81,49 @@ impl ApproxDpc {
     }
 
     /// Local-density phase: joint range searches, exact densities, and per-cell
-    /// metadata. Returns `(rho, grid, cell_meta, kd_tree_bytes)`.
+    /// metadata on a grid of cell side `side`. Returns
+    /// `(rho, grid, cell_meta, kd_tree_bytes)`.
     fn densities(
         &self,
         data: &Dataset,
         executor: &Executor,
+        side: f64,
     ) -> (Vec<f64>, Grid, Vec<CellMeta>, usize) {
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
         let tree = KdTree::build_parallel(data, executor);
-        let side = dcut / (data.dim() as f64).sqrt();
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, executor);
-        let cells: Vec<usize> = grid.cell_ids().collect();
 
         // Phase 1: one range search per cell (query = cell centre, radius
-        // d_cut + the farthest member), batched per grid bucket: spatially
-        // adjacent cells share one joint tree descent through the batched
-        // engine, whose per-query results are bit-identical to the former
-        // per-cell `range_search` calls. Buckets fan out over contiguous
-        // ranges balanced by member count.
-        let per_cell: Vec<(Vec<f64>, f64)> = executor.map_dynamic(cells.len(), |cell| {
-            let center = grid.center(cell);
-            let radius_extra = grid
-                .points(cell)
-                .iter()
-                .map(|&p| dist(&center, data.point(p)))
-                .fold(0.0f64, f64::max);
-            (center, dcut + radius_extra)
-        });
-        let buckets = grid.query_buckets();
-        let mut flat_supersets: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        {
-            let mut cell_prefix = Vec::with_capacity(buckets.len() + 1);
-            let mut weight_prefix = Vec::with_capacity(buckets.len() + 1);
-            cell_prefix.push(0usize);
-            weight_prefix.push(0usize);
-            for bucket in buckets.iter() {
-                cell_prefix.push(cell_prefix.last().unwrap() + bucket.len());
-                let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-                weight_prefix.push(weight_prefix.last().unwrap() + pts);
-            }
-            let bounds = batchq::balanced_ranges(&weight_prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let dim = data.dim();
-            let buckets = &buckets;
-            let per_cell = &per_cell;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [Vec<usize>] = &mut flat_supersets;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = cell_prefix[bhi] - cell_prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeSearch::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut radii: Vec<f64> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        let bucket = buckets.bucket(b);
-                        rows.clear();
-                        radii.clear();
-                        for &cell in bucket {
-                            let (center, radius) = &per_cell[cell];
-                            debug_assert_eq!(center.len(), dim);
-                            rows.extend_from_slice(center);
-                            radii.push(*radius);
-                        }
-                        engine.run(&parts, &rows, &radii, &mut mine[cursor..cursor + bucket.len()]);
-                        cursor += bucket.len();
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Back from bucket order to cell-id order.
-        let mut supersets: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        for (slot, &cell) in buckets.flat_cells().iter().enumerate() {
-            supersets[cell] = std::mem::take(&mut flat_supersets[slot]);
-        }
+        // d_cut + the farthest member). Adjacent cells share one joint tree
+        // descent, and each id list is bit-identical to a per-cell
+        // `range_search`.
+        let supersets =
+            batchq::search_grid_cells(&tree.packed_parts(), &grid, executor, |cell, row| {
+                let center = grid.center(cell);
+                let radius_extra = grid
+                    .points(cell)
+                    .iter()
+                    .map(|&p| dist(&center, data.point(p)))
+                    .fold(0.0f64, f64::max);
+                row.extend_from_slice(&center);
+                dcut + radius_extra
+            });
 
         // Phase 2: exact densities + cell metadata, partitioned by
         // cost_scan = |P(c)| · |R(cp, ·)|.
-        let cost_scan: Vec<f64> = cells
+        let cost_scan: Vec<f64> = supersets
             .iter()
             .enumerate()
-            .map(|(ci, &c)| (grid.points(c).len() * supersets[ci].len().max(1)) as f64)
+            .map(|(cell, superset)| (grid.points(cell).len() * superset.len().max(1)) as f64)
             .collect();
         let dcut_sq = dcut * dcut;
         let dim = data.dim();
-        let (cell_results, _) = executor.map_partitioned(&cost_scan, |ci| {
-            let cell = cells[ci];
+        let (cell_results, _) = executor.map_partitioned(&cost_scan, |cell| {
             let members = grid.points(cell);
-            let superset = &supersets[ci];
+            let superset = &supersets[cell];
             // Gather the superset's coordinates into contiguous rows once:
             // every member of the cell scans the same superset, so the gather
             // amortises over |P(c)| batched closed-ball scans.
@@ -215,7 +167,7 @@ impl ApproxDpc {
         });
 
         let mut rho = vec![0.0f64; data.len()];
-        let mut metas: Vec<CellMeta> = Vec::with_capacity(cells.len());
+        let mut metas: Vec<CellMeta> = Vec::with_capacity(grid.num_cells());
         for (densities, meta) in cell_results {
             for (p, r) in densities {
                 rho[p] = r;
@@ -354,7 +306,8 @@ impl DpcAlgorithm for ApproxDpc {
         let mut timings = Timings::default();
 
         let start = Instant::now();
-        let (rho, grid, metas, tree_bytes) = self.densities(data, &executor);
+        let side = grid_side(self.params.dcut, data.dim(), "d_cut", self.params.dcut)?;
+        let (rho, grid, metas, tree_bytes) = self.densities(data, &executor, side);
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
@@ -513,6 +466,11 @@ mod tests {
         let c = ApproxDpc::new(params).run(&two, &thresholds).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.num_clusters(), 2); // both isolated → both centres
+
+        // A valid d_cut whose 4-d cell side d_cut/2 underflows to zero.
+        let four_d = uniform(20, 4, 10.0, 3);
+        let err = ApproxDpc::new(DpcParams::new(5e-324)).fit(&four_d).unwrap_err();
+        assert!(matches!(err, DpcError::InvalidParams { param: "d_cut", .. }), "{err:?}");
     }
 
     #[test]

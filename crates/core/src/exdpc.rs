@@ -2,10 +2,11 @@
 //!
 //! * **Local density** — one range count per point with radius `d_cut` against
 //!   the packed static [`KdTree`] (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`). The
-//!   counts are batched: points grouped by grid cell share one traversal
-//!   (`dpc_index::batchq`), and the buckets fan out across the workers. `fit`
-//!   and `fit_keyed` run this one engine and differ only in the key each
-//!   point's density jitter is drawn from.
+//!   counts come from one call, `dpc_index::batchq::count_grid_points`: the
+//!   points of neighbouring grid cells share one traversal, the buckets fan
+//!   out across the workers, and the answer is in point order. `fit` and
+//!   `fit_keyed` run this one engine and differ only in the key each point's
+//!   density jitter is drawn from.
 //! * **Dependent points** — the key idea of the paper: destroy the tree, sort
 //!   the points by decreasing local density, and re-insert them one at a time
 //!   into an [`IncrementalKdTree`]; when point `p_i` is about to be inserted,
@@ -18,24 +19,18 @@
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
-use dpc_index::batchq::{self, BatchRangeCount};
+use dpc_index::batchq;
 use dpc_index::{Grid, IncrementalKdTree, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    descending_density_order, jittered_density, jittered_density_keyed, validate_dataset,
+    descending_density_order, grid_side, jittered_density, jittered_density_keyed, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 use crate::DpcAlgorithm;
-
-/// Upper bound on the number of query balls handed to one batched traversal.
-/// A degenerate grid (every point in one cell) would otherwise make the
-/// per-node active sets — and the traversal scratch — grow with `n`; counts
-/// are query-independent, so chunking is behaviour-neutral.
-const BATCH_CHUNK: usize = 512;
 
 /// The exact DPC algorithm of §3.
 #[derive(Clone, Copy, Debug)]
@@ -59,16 +54,13 @@ impl ExDpc {
     /// (Table 6).
     ///
     /// This is the batched default: queries are clustered into grid cells
-    /// (side `d_cut/√d`), each cell bucket descends the tree once through
-    /// `dpc_index::batchq`, and buckets fan out across the configured worker
-    /// threads. Results are bit-identical to
+    /// (side `d_cut/√d`), and `dpc_index::batchq::count_grid_points` sends
+    /// each cell bucket down the tree once, with the buckets fanned out
+    /// across the configured worker threads. Results are bit-identical to
     /// [`ExDpc::local_densities_per_point`] at every thread count — batched
     /// counts equal single-query counts exactly, and the bucket order is
     /// fixed by the grid's CSR layout, which is itself thread-invariant.
     pub fn local_densities(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
-        if data.is_empty() {
-            return Vec::new();
-        }
         let grid = self.query_grid(data, &Executor::new(self.params.threads));
         self.local_densities_with_grid(data, tree, &grid)
     }
@@ -93,8 +85,8 @@ impl ExDpc {
     /// `d_cut`, or `d_cut/√d` underflowing to zero) becomes the smallest
     /// positive normal float instead of a different code path.
     fn query_grid(&self, data: &Dataset, executor: &Executor) -> Grid {
-        let side = self.params.dcut / (data.dim() as f64).sqrt();
-        let side = if side.is_finite() && side > 0.0 { side } else { f64::MIN_POSITIVE };
+        let dcut = self.params.dcut;
+        let side = grid_side(dcut, data.dim(), "d_cut", dcut).unwrap_or(f64::MIN_POSITIVE);
         Grid::build_parallel(data, side, executor)
     }
 
@@ -106,79 +98,12 @@ impl ExDpc {
         grid: &Grid,
         key: impl Fn(usize) -> u64,
     ) -> Vec<f64> {
+        debug_assert_eq!(grid.dim(), data.dim());
         let executor = Executor::new(self.params.threads);
-        let n = data.len();
-        let dim = data.dim();
-        let dcut = self.params.dcut;
+        let counts =
+            batchq::count_grid_points(&tree.packed_parts(), grid, self.params.dcut, &executor);
         let seed = self.params.jitter_seed;
-        let buckets = grid.query_buckets();
-
-        // Flat output slots in bucket order (bucket → cells → CSR point
-        // order): a prefix sum over per-bucket point counts gives each worker
-        // range a disjoint contiguous slice to fill.
-        let mut prefix = Vec::with_capacity(buckets.len() + 1);
-        prefix.push(0usize);
-        for bucket in buckets.iter() {
-            let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-            prefix.push(prefix.last().unwrap() + pts);
-        }
-        let mut counts = vec![0usize; n];
-        {
-            let bounds = batchq::balanced_ranges(&prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let buckets = &buckets;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [usize] = &mut counts;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = prefix[bhi] - prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeCount::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut excl: Vec<u32> = Vec::new();
-                    let mut chunk_counts: Vec<usize> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        rows.clear();
-                        excl.clear();
-                        for &cell in buckets.bucket(b) {
-                            rows.extend_from_slice(grid.coords(cell));
-                            excl.extend(grid.points(cell).iter().map(|&p| p as u32));
-                        }
-                        let k = excl.len();
-                        let mut done = 0usize;
-                        while done < k {
-                            let take = (k - done).min(BATCH_CHUNK);
-                            engine.run_uniform(
-                                &parts,
-                                &rows[done * dim..(done + take) * dim],
-                                dcut,
-                                &excl[done..done + take],
-                                &mut chunk_counts,
-                            );
-                            mine[cursor..cursor + take].copy_from_slice(&chunk_counts);
-                            cursor += take;
-                            done += take;
-                        }
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Scatter the bucket-ordered counts back to point order, jittering on
-        // the point's key (order-independent, so identical to the per-point
-        // loop).
-        let mut rho = vec![0.0f64; n];
-        let mut slot = 0usize;
-        for &cell in buckets.flat_cells() {
-            for &p in grid.points(cell) {
-                rho[p] = jittered_density_keyed(counts[slot], key(p), seed);
-                slot += 1;
-            }
-        }
-        rho
+        counts.iter().enumerate().map(|(p, &c)| jittered_density_keyed(c, key(p), seed)).collect()
     }
 
     /// The per-point reference ρ loop: one `range_count` traversal per point,
@@ -510,6 +435,7 @@ mod tests {
         let params = DpcParams::new(1.0);
         let empty = Dataset::new(2);
         assert_eq!(ExDpc::new(params).fit(&empty).unwrap_err(), DpcError::EmptyDataset);
+        assert!(ExDpc::new(params).local_densities(&empty, &KdTree::build(&empty)).is_empty());
 
         let single = Dataset::from_flat(2, vec![3.0, 4.0]);
         let model = ExDpc::new(params).fit(&single).unwrap();

@@ -27,6 +27,29 @@ pub fn validate_dataset(data: &Dataset) -> Result<(), DpcError> {
     Ok(())
 }
 
+/// The cell side `span/√d` of a fit's grid (`span` is `d_cut` for
+/// Approx-DPC and `ε·d_cut` for S-Approx-DPC). Each parameter can pass its
+/// own check and still give no usable side — `d_cut/√d` underflows to zero,
+/// `ε·d_cut` overflows — so that is a [`DpcError::InvalidParams`] naming
+/// `param` (with its `value`), never a panic in the grid build.
+pub(crate) fn grid_side(
+    span: f64,
+    dim: usize,
+    param: &'static str,
+    value: f64,
+) -> Result<f64, DpcError> {
+    let side = span / (dim as f64).sqrt();
+    if side.is_finite() && side > 0.0 {
+        Ok(side)
+    } else {
+        Err(DpcError::InvalidParams {
+            param,
+            value,
+            requirement: "must give a positive and finite grid cell side",
+        })
+    }
+}
+
 /// Adds a deterministic jitter in `(0, 1)` to an integer local density so that
 /// all densities are pairwise distinct, as the paper assumes for the
 /// dependent-point computation ("practically possible by adding a random value

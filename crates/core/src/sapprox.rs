@@ -10,6 +10,10 @@
 //! cell. Conceptually this turns point clustering into cell clustering: the
 //! number of range searches drops from `n` to `|G'|`, which is what produces
 //! the near-linear scaling of Figure 7 and the `ε` ↔ time trade-off of Table 5.
+//! The `|G'|` searches are one `dpc_index::batchq::search_grid_cells` call
+//! (neighbouring cells share one tree descent, buckets fan out across the
+//! workers, results come back in cell order). An `ε·d_cut/√d` that is not a
+//! positive finite side is an `InvalidParams` error on `epsilon`.
 //!
 //! Dependent points of picked points are resolved in two phases (§5):
 //!
@@ -24,12 +28,12 @@
 use std::time::Instant;
 
 use dpc_geometry::{dist, Dataset};
-use dpc_index::batchq::{self, BatchRangeSearch};
+use dpc_index::batchq;
 use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{jittered_density, validate_dataset};
+use crate::framework::{grid_side, jittered_density, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -99,80 +103,29 @@ impl DpcAlgorithm for SApproxDpc {
         let n = data.len();
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
+        let side = grid_side(self.epsilon * dcut, data.dim(), "epsilon", self.epsilon)?;
 
         // ---- Local density phase (Corollary 1) ----
         let start = Instant::now();
         let tree = KdTree::build_parallel(data, &executor);
-        let side = self.epsilon * dcut / (data.dim() as f64).sqrt();
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, &executor);
-        let cells: Vec<usize> = grid.cell_ids().collect();
 
         // One range search per cell for its (deterministically) picked point:
-        // the first point mapped into the cell (the first CSR coordinate row).
-        // The searches are batched per grid bucket — spatially adjacent cells
-        // share one joint tree descent, with per-query results bit-identical
-        // to the former per-cell `range_search` calls — and buckets fan out
-        // over contiguous ranges (§5, "Implementation for parallel
-        // processing").
-        let buckets = grid.query_buckets();
+        // the first point mapped into the cell, whose coordinates are the
+        // cell's first CSR row. Adjacent cells share one joint tree descent,
+        // and the buckets fan out over contiguous ranges (§5, "Implementation
+        // for parallel processing").
         let dim = data.dim();
-        let mut flat_results: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        {
-            let mut cell_prefix = Vec::with_capacity(buckets.len() + 1);
-            let mut weight_prefix = Vec::with_capacity(buckets.len() + 1);
-            cell_prefix.push(0usize);
-            weight_prefix.push(0usize);
-            for bucket in buckets.iter() {
-                cell_prefix.push(cell_prefix.last().unwrap() + bucket.len());
-                let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-                weight_prefix.push(weight_prefix.last().unwrap() + pts);
-            }
-            let bounds = batchq::balanced_ranges(&weight_prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let buckets = &buckets;
-            let grid = &grid;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [Vec<usize>] = &mut flat_results;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = cell_prefix[bhi] - cell_prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeSearch::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        let bucket = buckets.bucket(b);
-                        rows.clear();
-                        for &cell in bucket {
-                            // The picked point is points(cell)[0], whose
-                            // coordinates are the cell's first CSR row.
-                            rows.extend_from_slice(&grid.coords(cell)[..dim]);
-                        }
-                        engine.run_uniform(
-                            &parts,
-                            &rows,
-                            dcut,
-                            &mut mine[cursor..cursor + bucket.len()],
-                        );
-                        cursor += bucket.len();
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Back from bucket order to cell-id order, then per-cell metadata.
-        let mut search_results: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        for (slot, &cell) in buckets.flat_cells().iter().enumerate() {
-            search_results[cell] = std::mem::take(&mut flat_results[slot]);
-        }
-        let picked_cells: Vec<PickedCell> = executor.map_dynamic(cells.len(), |ci| {
-            let cell = cells[ci];
+        let search_results =
+            batchq::search_grid_cells(&tree.packed_parts(), &grid, &executor, |cell, row| {
+                row.extend_from_slice(&grid.coords(cell)[..dim]);
+                dcut
+            });
+        let picked_cells: Vec<PickedCell> = executor.map_dynamic(grid.num_cells(), |cell| {
             let picked = grid.points(cell)[0];
-            let result = &search_results[ci];
+            let result = &search_results[cell];
             let count = result.iter().filter(|&&q| q != picked).count();
             let mut neighbors: Vec<usize> =
                 result.iter().map(|&q| grid.cell_of(q)).filter(|&c2| c2 != cell).collect();
@@ -187,8 +140,7 @@ impl DpcAlgorithm for SApproxDpc {
         // always point towards higher density) and keeps ρ_min behaviour
         // uniform inside a cell.
         let mut rho = vec![0.0f64; n];
-        for (ci, pc) in picked_cells.iter().enumerate() {
-            let cell = cells[ci];
+        for (cell, pc) in picked_cells.iter().enumerate() {
             for &p in grid.points(cell) {
                 rho[p] = pc.rho.floor();
             }
@@ -205,9 +157,8 @@ impl DpcAlgorithm for SApproxDpc {
         // Non-picked points: depend on the picked point of their cell. The
         // distance is at most `ε·d_cut` (the cell diameter) and is computed
         // exactly because it costs O(1) per point.
-        let non_picked: Vec<Vec<(usize, f64)>> = executor.map_dynamic(cells.len(), |ci| {
-            let cell = cells[ci];
-            let picked = picked_cells[ci].picked;
+        let non_picked: Vec<Vec<(usize, f64)>> = executor.map_dynamic(grid.num_cells(), |cell| {
+            let picked = picked_cells[cell].picked;
             let picked_coords = data.point(picked);
             // The grid stores each cell's coordinates as contiguous CSR rows;
             // scanning them avoids chasing per-point rows through the dataset.
@@ -272,7 +223,7 @@ impl DpcAlgorithm for SApproxDpc {
             fn find_root(
                 ci: usize,
                 first_phase: &[Option<(usize, f64)>],
-                picked_of_point: &std::collections::HashMap<usize, usize>,
+                grid: &Grid,
                 residual_rank: &[usize],
                 root_of: &mut Vec<usize>,
             ) -> usize {
@@ -283,16 +234,15 @@ impl DpcAlgorithm for SApproxDpc {
                     residual_rank[ci]
                 } else {
                     let (dep_point, _) = first_phase[ci].expect("non-residual has a dependency");
-                    let dep_ci = picked_of_point[&dep_point];
-                    find_root(dep_ci, first_phase, picked_of_point, residual_rank, root_of)
+                    // A picked point's cell index is its cell id.
+                    let dep_ci = grid.cell_of(dep_point);
+                    find_root(dep_ci, first_phase, grid, residual_rank, root_of)
                 };
                 root_of[ci] = root;
                 root
             }
-            let picked_of_point: std::collections::HashMap<usize, usize> =
-                picked_cells.iter().enumerate().map(|(ci, pc)| (pc.picked, ci)).collect();
             for ci in 0..picked_cells.len() {
-                find_root(ci, &first_phase, &picked_of_point, &residual_rank, &mut root_of);
+                find_root(ci, &first_phase, &grid, &residual_rank, &mut root_of);
             }
             let mut radius = vec![0.0f64; residual.len()];
             for (ci, pc) in picked_cells.iter().enumerate() {
@@ -473,6 +423,13 @@ mod tests {
         let c = SApproxDpc::new(params).with_epsilon(0.5).run(&same, &thresholds).unwrap();
         assert_eq!(c.num_clusters(), 1);
         assert!(c.assignment.iter().all(|&l| l == 0));
+
+        // ε and d_cut each valid, but the cell side ε·d_cut/√d overflows.
+        let err = SApproxDpc::new(DpcParams::new(1e300))
+            .with_epsilon(1e10)
+            .fit(&uniform(20, 2, 10.0, 3))
+            .unwrap_err();
+        assert!(matches!(err, DpcError::InvalidParams { param: "epsilon", .. }), "{err:?}");
     }
 
     #[test]

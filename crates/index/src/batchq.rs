@@ -19,6 +19,12 @@
 //!   block stays cache-hot across the bucket instead of being re-fetched by
 //!   `n` independent traversals.
 //!
+//! The fits call two grid-wide functions, not the engines:
+//! [`count_grid_points`] (one count per point, Ex-DPC's ρ) and
+//! [`search_grid_cells`] (one search per cell, Approx-DPC and S-Approx-DPC).
+//! Both form the grid's query buckets, fan them out over an [`Executor`], and
+//! answer in point or cell order.
+//!
 //! # Determinism contract
 //!
 //! Every query's result is **bit-identical** to the corresponding single-query
@@ -35,7 +41,9 @@
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
+use dpc_parallel::Executor;
 
+use crate::grid::{CellId, Grid};
 use crate::kdtree::{PackedParts, NONE};
 
 /// Sentinel for "no exclusion" in a [`BatchRangeCount`] exclusion slice
@@ -206,28 +214,6 @@ impl BatchRangeCount {
         }
         self.scratch.pool.push(active);
     }
-
-    /// [`run`](Self::run) with one shared radius for the whole bucket.
-    pub fn run_uniform(
-        &mut self,
-        parts: &PackedParts<'_>,
-        queries: &[f64],
-        radius: f64,
-        exclude: &[u32],
-        counts: &mut Vec<usize>,
-    ) {
-        let dim = parts.dim;
-        debug_assert_eq!(queries.len() % dim, 0);
-        let k = queries.len() / dim;
-        let mut radii = std::mem::take(&mut self.scratch.r_sq);
-        radii.clear();
-        radii.resize(k, radius);
-        self.run(parts, queries, &radii, exclude, counts);
-        // `run` rebuilt `r_sq`; keep the longer buffer for the next call.
-        if radii.capacity() > self.scratch.r_sq.capacity() {
-            self.scratch.r_sq = radii;
-        }
-    }
 }
 
 struct CountCtx<'a, 't> {
@@ -367,26 +353,6 @@ impl BatchRangeSearch {
         }
         self.scratch.pool.push(active);
     }
-
-    /// [`run`](Self::run) with one shared radius for the whole bucket.
-    pub fn run_uniform(
-        &mut self,
-        parts: &PackedParts<'_>,
-        queries: &[f64],
-        radius: f64,
-        out: &mut [Vec<usize>],
-    ) {
-        let dim = parts.dim;
-        debug_assert_eq!(queries.len() % dim, 0);
-        let k = queries.len() / dim;
-        let mut radii = std::mem::take(&mut self.scratch.r_sq);
-        radii.clear();
-        radii.resize(k, radius);
-        self.run(parts, queries, &radii, out);
-        if radii.capacity() > self.scratch.r_sq.capacity() {
-            self.scratch.r_sq = radii;
-        }
-    }
 }
 
 struct SearchCtx<'a, 't> {
@@ -453,6 +419,121 @@ fn search_rec(
     scratch.pool.push(still);
 }
 
+/// Upper bound on the number of query balls handed to one batched traversal
+/// by [`count_grid_points`]. A degenerate grid (every point in one cell)
+/// would otherwise make the per-node active sets — and the traversal scratch
+/// — grow with `n`; counts are query-independent, so chunking is
+/// behaviour-neutral.
+const BATCH_CHUNK: usize = 512;
+
+/// For every point `p` of `grid`, in point-id order, the number of other
+/// points of `parts` within `radius` of `p` — bit-identical to
+/// `parts.range_count(p's row, radius, Some(p))`. `grid` and `parts` must
+/// index the same dataset. Each bucket's points share one
+/// [`BatchRangeCount`] descent per `BATCH_CHUNK` balls.
+pub fn count_grid_points(
+    parts: &PackedParts<'_>,
+    grid: &Grid,
+    radius: f64,
+    executor: &Executor,
+) -> Vec<usize> {
+    let dim = grid.dim();
+    let radii = vec![radius; BATCH_CHUNK];
+    let fill = |state: &mut (BatchRangeCount, Vec<f64>, Vec<u32>, Vec<usize>),
+                bucket: &[CellId],
+                out: &mut [usize]| {
+        let (engine, rows, exclude, counts) = state;
+        rows.clear();
+        exclude.clear();
+        for &cell in bucket {
+            rows.extend_from_slice(grid.coords(cell));
+            exclude.extend(grid.points(cell).iter().map(|&p| p as u32));
+        }
+        for (c, chunk) in out.chunks_mut(BATCH_CHUNK).enumerate() {
+            let (first, last) = (c * BATCH_CHUNK, c * BATCH_CHUNK + chunk.len());
+            let queries = &rows[first * dim..last * dim];
+            engine.run(parts, queries, &radii[..chunk.len()], &exclude[first..last], counts);
+            chunk.copy_from_slice(counts);
+        }
+    };
+    fan_out_buckets(grid, executor, |cell| grid.points(cell).iter().copied(), fill)
+}
+
+/// For every cell of `grid`, in cell-id order, the ids of the points of
+/// `parts` inside the cell's query ball: `ball(cell, row)` appends the
+/// ball's centre to `row` and returns its radius. Each list is bit-identical
+/// (content and order) to `parts.range_search_into(centre, radius, ..)`.
+pub fn search_grid_cells(
+    parts: &PackedParts<'_>,
+    grid: &Grid,
+    executor: &Executor,
+    ball: impl Fn(CellId, &mut Vec<f64>) -> f64 + Sync,
+) -> Vec<Vec<usize>> {
+    let fill = |state: &mut (BatchRangeSearch, Vec<f64>, Vec<f64>),
+                bucket: &[CellId],
+                out: &mut [Vec<usize>]| {
+        let (engine, rows, radii) = state;
+        rows.clear();
+        radii.clear();
+        radii.extend(bucket.iter().map(|&cell| ball(cell, rows)));
+        engine.run(parts, rows, radii, out);
+    };
+    fan_out_buckets(grid, executor, std::iter::once, fill)
+}
+
+/// The bucket fan-out behind both grid-wide functions. Bucket `b` of
+/// `grid.query_buckets()` fills one output slot per id its cells yield
+/// through `ids`; the buckets are split into contiguous runs balanced by
+/// point count ([`balanced_ranges`]), and one task per run calls
+/// `fill(state, bucket, slots)` bucket by bucket with a `state` of its own.
+/// The slots are then scattered to id order. Both the partition and every
+/// batched result are fixed by the grid layout (module docs), so the answer
+/// is bit-identical at every thread count.
+fn fan_out_buckets<T, S, I>(
+    grid: &Grid,
+    executor: &Executor,
+    ids: impl Fn(CellId) -> I,
+    fill: impl Fn(&mut S, &[CellId], &mut [T]) + Sync,
+) -> Vec<T>
+where
+    T: Clone + Default + Send,
+    S: Default,
+    I: ExactSizeIterator<Item = usize>,
+{
+    let buckets = grid.query_buckets();
+    let (mut slot_prefix, mut weight_prefix) = (vec![0usize], vec![0usize]);
+    let (mut slots, mut points) = (0usize, 0usize);
+    for bucket in buckets.iter() {
+        slots += bucket.iter().map(|&c| ids(c).len()).sum::<usize>();
+        points += bucket.iter().map(|&c| grid.points(c).len()).sum::<usize>();
+        slot_prefix.push(slots);
+        weight_prefix.push(points);
+    }
+    let mut out = vec![T::default(); slots];
+    let bounds = balanced_ranges(&weight_prefix, executor.threads());
+    let (buckets_ref, slot_prefix, fill) = (&buckets, &slot_prefix, &fill);
+    let mut tasks = Vec::with_capacity(bounds.len() - 1);
+    let mut rest: &mut [T] = &mut out;
+    for run in bounds.windows(2) {
+        let (lo, hi) = (run[0], run[1]);
+        let (mine, tail) = rest.split_at_mut(slot_prefix[hi] - slot_prefix[lo]);
+        rest = tail;
+        tasks.push(move || {
+            let mut state = S::default();
+            for b in lo..hi {
+                let span = slot_prefix[b] - slot_prefix[lo]..slot_prefix[b + 1] - slot_prefix[lo];
+                fill(&mut state, buckets_ref.bucket(b), &mut mine[span]);
+            }
+        });
+    }
+    executor.fan_out(tasks);
+    let mut by_id = vec![T::default(); out.len()];
+    for (id, value) in buckets.flat_cells().iter().flat_map(|&c| ids(c)).zip(out) {
+        by_id[id] = value;
+    }
+    by_id
+}
+
 /// Splits `prefix.len() - 1` weighted buckets into at most `workers`
 /// contiguous ranges of roughly equal cumulative weight. `prefix` is the
 /// exclusive prefix sum of per-bucket weights (so `prefix[0] == 0` and
@@ -463,7 +544,7 @@ fn search_rec(
 /// The returned partition depends only on `prefix` and `workers`, and batched
 /// results are bucket-independent (see the module docs), so callers fanning
 /// out one task per range get bit-identical results at every thread count.
-pub fn balanced_ranges(prefix: &[usize], workers: usize) -> Vec<usize> {
+pub(crate) fn balanced_ranges(prefix: &[usize], workers: usize) -> Vec<usize> {
     assert!(!prefix.is_empty(), "prefix sum must at least contain the leading 0");
     let num_buckets = prefix.len() - 1;
     let total = prefix[num_buckets];
@@ -526,7 +607,7 @@ mod tests {
             let rows = gather_rows(&data, &ids);
             let mut out = vec![Vec::new(); ids.len()];
             let mut engine = BatchRangeSearch::new();
-            engine.run_uniform(&parts, &rows, 0.4, &mut out);
+            engine.run(&parts, &rows, &vec![0.4; ids.len()], &mut out);
             let mut expected = Vec::new();
             for (k, &i) in ids.iter().enumerate() {
                 tree.range_search_into(data.point(i), 0.4, &mut expected);

@@ -49,6 +49,8 @@
 use dpc_geometry::Dataset;
 use dpc_parallel::Executor;
 
+use crate::batchq::balanced_ranges;
+
 /// Identifier of a grid cell (dense index, `0..grid.num_cells()`).
 pub type CellId = usize;
 
@@ -391,32 +393,23 @@ impl Grid {
         // The packed span of a contiguous cell range is itself contiguous, so
         // every task owns disjoint slices of `packed`/`coord_rows`; range
         // boundaries are chosen on cell borders so the spans balance by
-        // point count. Each task scans only the point→cell slice that can
+        // point count (`balanced_ranges` over the offsets). Each task scans only the point→cell slice that can
         // contain its cells: cell ids follow first-appearance order, so every
         // point before `first_global[lo]` belongs to a cell below `lo`, and
         // the scan stops as soon as the task's span is full — the same
         // ascending point order (hence byte-identical layout) as before, at a
         // fraction of the map reads.
-        let num_cells = counts.len();
         let offsets = prefix_sum(&counts);
         let mut packed = vec![0usize; n];
         let mut coord_rows = vec![0.0f64; n * dim];
         {
-            let workers = executor.threads().min(num_cells.max(1));
-            let mut bounds = Vec::with_capacity(workers + 1);
-            bounds.push(0usize);
-            for w in 1..workers {
-                let target = w * n / workers;
-                let cell = offsets.partition_point(|&o| o < target).min(num_cells);
-                bounds.push(cell.max(*bounds.last().unwrap()));
-            }
-            bounds.push(num_cells);
+            let bounds = balanced_ranges(&offsets, executor.threads());
             let point_cell = &grid.point_cell;
-            let mut tasks = Vec::with_capacity(workers);
+            let mut tasks = Vec::with_capacity(bounds.len() - 1);
             let mut packed_rest: &mut [usize] = &mut packed;
             let mut coord_rest: &mut [f64] = &mut coord_rows;
-            for w in 0..workers {
-                let (lo, hi) = (bounds[w], bounds[w + 1]);
+            for run in bounds.windows(2) {
+                let (lo, hi) = (run[0], run[1]);
                 let span = offsets[hi] - offsets[lo];
                 let (packed_mine, packed_tail) = packed_rest.split_at_mut(span);
                 packed_rest = packed_tail;

@@ -25,9 +25,11 @@
 //!   query balls (typically one grid cell's points, via
 //!   [`Grid::query_buckets`]) descends the tree **once**, pruning with the
 //!   bucket's joint bounding box and feeding each leaf's contiguous rows to
-//!   the SIMD batch kernels per still-active query. Every result is
-//!   bit-identical to the corresponding single-query call — see the module's
-//!   determinism contract.
+//!   the SIMD batch kernels per still-active query. Two grid-wide functions run
+//!   it over a whole grid across an executor — `count_grid_points` (one count
+//!   per point) and `search_grid_cells` (one search per cell) — and answer in
+//!   point or cell order. Every result is bit-identical to the corresponding
+//!   single-query call — see the module's determinism contract.
 
 #![forbid(unsafe_code)]
 

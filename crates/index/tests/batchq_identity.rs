@@ -74,11 +74,23 @@ fn assert_bucket_identity(
 
 #[test]
 fn grid_buckets_are_bit_identical_to_per_point_queries() {
-    for &(n, dim, seed) in &[(900usize, 2usize, 101u64), (700, 3, 102), (300, 8, 103)] {
-        let data = random_dataset(n, dim, seed);
-        let dcut = 8.0;
-        let tree = KdTree::build_parallel(&data, &Executor::new(4));
-        let grid = Grid::build(&data, dcut / (dim as f64).sqrt());
+    // Besides the random sets (cell side d_cut/√d): one cell of more than
+    // 2 × 512 points, wider than d_cut, so `count_grid_points` splits its bucket
+    // into chunks with counts that differ per point; and an empty dataset.
+    let mut rng = StdRng::seed_from_u64(104);
+    let one_cell = Dataset::from_flat(2, (0..1100 * 2).map(|_| rng.gen_range(0.0..40.0)).collect());
+    let dcut = 8.0;
+    let sets = [
+        (random_dataset(900, 2, 101), dcut / 2f64.sqrt()),
+        (random_dataset(700, 3, 102), dcut / 3f64.sqrt()),
+        (random_dataset(300, 8, 103), dcut / 8f64.sqrt()),
+        (one_cell, 64.0),
+        (Dataset::new(2), dcut / 2f64.sqrt()),
+    ];
+    for (data, side) in &sets {
+        let (n, dim) = (data.len(), data.dim());
+        let tree = KdTree::build_parallel(data, &Executor::new(4));
+        let grid = Grid::build(data, *side);
         let buckets = grid.query_buckets();
         for bucket in buckets.iter() {
             let mut ids: Vec<usize> = Vec::new();
@@ -87,7 +99,30 @@ fn grid_buckets_are_bit_identical_to_per_point_queries() {
             }
             let radii = vec![dcut; ids.len()];
             let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-            assert_bucket_identity(&data, &tree, &ids, &radii, &exclude);
+            assert_bucket_identity(data, &tree, &ids, &radii, &exclude);
+        }
+        // Both grid-wide functions, in point and cell order, at every thread
+        // count. The cell radii vary so a misplaced answer cannot match by
+        // accident.
+        let parts = tree.packed_parts();
+        let cell_radius = |cell: usize| dcut + (cell % 3) as f64;
+        let mut expected = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let executor = Executor::new(threads);
+            let counts = batchq::count_grid_points(&parts, &grid, dcut, &executor);
+            assert_eq!(counts.len(), n);
+            for (p, &count) in counts.iter().enumerate() {
+                assert_eq!(count, tree.range_count(data.point(p), dcut, Some(p)), "point {p}");
+            }
+            let found = batchq::search_grid_cells(&parts, &grid, &executor, |cell, row| {
+                row.extend_from_slice(&grid.center(cell));
+                cell_radius(cell)
+            });
+            assert_eq!(found.len(), grid.num_cells());
+            for (cell, ids) in found.iter().enumerate() {
+                tree.range_search_into(&grid.center(cell), cell_radius(cell), &mut expected);
+                assert_eq!(*ids, expected, "cell {cell} (dim {dim}, threads {threads})");
+            }
         }
     }
 }

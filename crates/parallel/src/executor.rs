@@ -170,54 +170,6 @@ impl Executor {
         });
     }
 
-    /// Runs `f(i)` for every `i in 0..n` with dynamic self-scheduling: idle
-    /// workers repeatedly claim the next unprocessed index from a shared
-    /// counter. Equivalent to `#pragma omp parallel for schedule(dynamic)`.
-    ///
-    /// # Panics
-    /// The first panicking worker's payload is resumed on the calling thread
-    /// once the region has been joined (module docs); indexes the panicking
-    /// worker had claimed but not reached are skipped.
-    pub fn for_each_dynamic<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        if self.threads == 1 || n == 1 {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let counter = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        let chunk = dynamic_chunk(n, workers);
-        std::thread::scope(|scope| {
-            // Handles are joined explicitly so a worker panic is resumed with
-            // its original payload — the scope's implicit join would replace
-            // it with a generic "a scoped thread panicked" message.
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let start = counter.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for i in start..end {
-                            f(i);
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                join_or_resume(handle);
-            }
-        });
-    }
-
     /// Computes `f(i)` for every `i in 0..n` with dynamic self-scheduling and
     /// returns the results in index order.
     ///
@@ -390,24 +342,6 @@ mod tests {
         assert_eq!(Executor::new(4).threads(), 4);
         assert_eq!(Executor::single().threads(), 1);
         assert!(Executor::default().threads() >= 1);
-    }
-
-    #[test]
-    fn for_each_dynamic_visits_every_index_once() {
-        for threads in [1usize, 2, 4] {
-            let ex = Executor::new(threads);
-            let n = 1000;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            ex.for_each_dynamic(n, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn for_each_dynamic_handles_empty_range() {
-        Executor::new(4).for_each_dynamic(0, |_| panic!("must not be called"));
     }
 
     #[test]
@@ -602,16 +536,6 @@ mod tests {
                             })
                             .collect();
                         ex.fan_out(tasks);
-                    }),
-                ),
-                (
-                    "for_each_dynamic",
-                    Box::new(|| {
-                        ex.for_each_dynamic(64, |i| {
-                            if i == 13 {
-                                panic!("boom for_each_dynamic")
-                            }
-                        })
                     }),
                 ),
                 (

@@ -3,11 +3,11 @@
 //! The paper parallelises its algorithms in two ways and this crate provides
 //! both, plus the measurement hooks the evaluation needs:
 //!
-//! * **Dynamic self-scheduling** ([`Executor::for_each_dynamic`] /
-//!   [`Executor::map_dynamic`]) — the equivalent of OpenMP's
-//!   `#pragma omp parallel for schedule(dynamic)` used by Ex-DPC's local-density
-//!   phase (§3): an idle worker repeatedly claims the next unprocessed item, so
-//!   expensive items (dense regions) do not serialise behind a static split.
+//! * **Dynamic self-scheduling** ([`Executor::map_dynamic`]) — the equivalent
+//!   of OpenMP's `#pragma omp parallel for schedule(dynamic)` used by Ex-DPC's
+//!   local-density phase (§3): an idle worker repeatedly claims the next
+//!   unprocessed item, so expensive items (dense regions) do not serialise
+//!   behind a static split.
 //! * **Cost-based partitioning** ([`lpt_partition`] + [`Executor::map_partitioned`])
 //!   — Approx-DPC's two-phase approach (§4.5): estimate the cost of every task,
 //!   then assign tasks to threads with Graham's 3/2-approximation greedy (LPT)
@@ -18,8 +18,9 @@
 //!   without a work-stealing runtime.
 //! * **Scoped fan-out** ([`Executor::fan_out`]) — a vector of owning `FnOnce`
 //!   tasks run across the workers, each typically holding a disjoint `&mut`
-//!   shard of one output buffer (the parallel CSR grid build in `dpc-index`
-//!   scatters into per-cell-range slices this way).
+//!   shard of one output buffer (the parallel CSR grid build and the
+//!   grid-wide `batchq` queries in `dpc-index` write per-range slices
+//!   this way).
 //!
 //! All primitives run inline when the executor has a single thread, so the
 //! single-threaded numbers reported by the benchmark harness contain no

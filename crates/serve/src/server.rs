@@ -392,8 +392,9 @@ impl DpcServer {
                     _ => unreachable!("groups hold Assign indexes only"),
                 }
             }
+            let radii = vec![dcut; groups[g].len()];
             let mut counts = Vec::new();
-            BatchRangeCount::new().run_uniform(&parts, &rows, dcut, &[], &mut counts);
+            BatchRangeCount::new().run(&parts, &rows, &radii, &[], &mut counts);
             counts
         });
         for (group, counts) in groups.iter().zip(&per_group) {
