@@ -1,6 +1,6 @@
 //! Benchmark of the dependent-point (δ) kernels: the Scan approach versus
-//! Ex-DPC's incremental kd-tree approach, plus a full Approx-DPC fit for
-//! reference.
+//! Ex-DPC's per-point nearest-denser queries on a packed kd-tree (the row
+//! includes building that tree), plus a full Approx-DPC fit for reference.
 
 use dpc_baselines::Scan;
 use dpc_bench::micro::bench;
@@ -25,7 +25,7 @@ fn main() {
     bench("scan_early_termination", 5, || scan.dependent_points(&data, &rho));
 
     let exdpc = ExDpc::new(params);
-    bench("exdpc_incremental_kdtree", 5, || exdpc.dependent_points(&data, &rho));
+    bench("exdpc_nearest_denser", 5, || exdpc.dependent_points(&data, &rho));
 
     let approx = ApproxDpc::new(params);
     bench("approx_dpc_full_fit_for_reference", 5, || approx.fit(&data).expect("fit Syn").len());

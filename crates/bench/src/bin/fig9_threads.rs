@@ -2,7 +2,8 @@
 //!
 //! On the paper's 24-core machine this shows near-linear scaling for
 //! Approx-DPC / S-Approx-DPC, limited scaling for Ex-DPC (sequential dependent
-//! phase) and for LSH-DDP (no load balancing). On a single-core host the
+//! phase; this implementation's Ex-DPC δ phase is parallel nearest-denser
+//! queries instead) and for LSH-DDP (no load balancing). On a single-core host the
 //! wall-clock curve is flat, so this binary additionally reports the
 //! load-balance quality (max/mean estimated cost per thread) of the LPT
 //! partitioning versus plain round-robin — the quantity the paper's scaling

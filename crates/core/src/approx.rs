@@ -20,12 +20,17 @@
 //!   approximate dependent point (distance at most `d_cut`); the cell's densest
 //!   point looks for a neighbouring cell whose minimum density is higher.
 //!   Points for which neither rule applies (`P'`) get their **exact** dependent
-//!   point through a density-ordered partition of `P` into `s` subsets with one
-//!   kd-tree each — which is what preserves the cluster centres of Ex-DPC
-//!   (Theorem 4).
+//!   point — which is what preserves the cluster centres of Ex-DPC
+//!   (Theorem 4). The paper partitions `P` into `s` density-ordered subsets
+//!   with one kd-tree each; here each point of `P'` asks the phase-1 kd-tree
+//!   for its nearest point of higher ρ ([`KdTree::nearest_denser`], pruning
+//!   by a per-node maximum of ρ), the same query Ex-DPC runs for every point.
+//!   The answers are the subset trees' answers (on an exact distance tie the
+//!   lowest id wins).
 //!
-//! Both phases are parallelised with cost-based (LPT) partitioning, using the
-//! cost models of §4.5.
+//! The density scans are parallelised with cost-based (LPT) partitioning,
+//! using the cost model of §4.5; the rule lookups and the `P'` queries are
+//! dynamically scheduled.
 
 use std::time::Instant;
 
@@ -35,7 +40,7 @@ use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{ascending_density_order, grid_side, jittered_density, validate_dataset};
+use crate::framework::{grid_side, jittered_density, resolve_nearest_denser, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -68,27 +73,15 @@ impl ApproxDpc {
         &self.params
     }
 
-    /// Chooses the number `s` of density-ordered subsets used by the exact
-    /// dependent-point fallback. Equation (2) balances one full-subset scan
-    /// against `s − 1` per-subset nearest-neighbour searches, which gives
-    /// `s ≈ n^{1/(d+1)}`.
-    fn subset_count(n: usize, dim: usize) -> usize {
-        if n < 4 {
-            return 1;
-        }
-        let s = (n as f64).powf(1.0 / (dim as f64 + 1.0)).round() as usize;
-        s.clamp(2, n)
-    }
-
     /// Local-density phase: joint range searches, exact densities, and per-cell
     /// metadata on a grid of cell side `side`. Returns
-    /// `(rho, grid, cell_meta, kd_tree_bytes)`.
+    /// `(rho, grid, cell_meta, kd_tree)`.
     fn densities(
         &self,
         data: &Dataset,
         executor: &Executor,
         side: f64,
-    ) -> (Vec<f64>, Grid, Vec<CellMeta>, usize) {
+    ) -> (Vec<f64>, Grid, Vec<CellMeta>, KdTree) {
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
         let tree = KdTree::build_parallel(data, executor);
@@ -174,27 +167,25 @@ impl ApproxDpc {
             }
             metas.push(meta);
         }
-        (rho, grid, metas, tree.mem_usage())
+        (rho, grid, metas, tree)
     }
 
     /// Dependent-point phase (§4.3): the O(1) cell-based approximation plus the
-    /// exact computation for the residual set `P'`. Returns
-    /// `(dependent, delta, subset_tree_bytes)`.
+    /// exact computation for the residual set `P'` on the phase-1 `tree`.
+    /// Returns `(dependent, delta)`.
     fn dependents(
         &self,
         data: &Dataset,
         executor: &Executor,
+        tree: &KdTree,
         rho: &[f64],
         grid: &Grid,
         metas: &[CellMeta],
-    ) -> (Vec<usize>, Vec<f64>, usize) {
+    ) -> (Vec<usize>, Vec<f64>) {
         let n = data.len();
         let dcut = self.params.dcut;
         let mut dependent: Vec<usize> = (0..n).collect();
         let mut delta = vec![f64::INFINITY; n];
-        if n == 0 {
-            return (dependent, delta, 0);
-        }
 
         // Approximate rules — O(1) per point, evaluated in parallel.
         let approx: Vec<Option<usize>> = executor.map_dynamic(n, |p| {
@@ -223,74 +214,10 @@ impl ApproxDpc {
             }
         }
 
-        // Exact computation for P' (§4.3, "Exact computation").
-        let order = ascending_density_order(rho);
-        let mut rank = vec![0usize; n];
-        for (r, &p) in order.iter().enumerate() {
-            rank[p] = r;
-        }
-        let s = Self::subset_count(n, data.dim());
-        let subset_size = n.div_ceil(s);
-        let subsets: Vec<&[usize]> = order.chunks(subset_size).collect();
-        let subset_trees: Vec<KdTree> =
-            executor.map_dynamic(subsets.len(), |j| KdTree::build_subset(data, subsets[j]));
-        let subset_bytes: usize = subset_trees.iter().map(|t| t.mem_usage()).sum();
-
-        // Cost model of §4.5 for the residual points.
-        let per_subset = subset_size as f64;
-        let nn_cost = per_subset.powf(1.0 - 1.0 / data.dim() as f64);
-        let costs: Vec<f64> = residual
-            .iter()
-            .map(|&p| {
-                let j = rank[p] / subset_size;
-                let higher_subsets = (subsets.len() - j).saturating_sub(1) as f64;
-                let has_case_two = rank[p] % subset_size != subset_size - 1;
-                if has_case_two {
-                    per_subset + higher_subsets * nn_cost
-                } else {
-                    (higher_subsets + 1.0) * nn_cost
-                }
-            })
-            .collect();
-
-        let (exact, _) = executor.map_partitioned(&costs, |ri| {
-            let p = residual[ri];
-            let pc = data.point(p);
-            let my_rank = rank[p];
-            let my_subset = my_rank / subset_size;
-            let mut best: Option<(usize, f64)> = None;
-            // Case (ii): the subset containing p may mix higher and lower
-            // densities — scan only the higher-density part.
-            for &q in subsets[my_subset] {
-                if rank[q] > my_rank {
-                    let d = dist(pc, data.point(q));
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((q, d));
-                    }
-                }
-            }
-            // Case (i): every subset above contains only higher densities — one
-            // nearest-neighbour search each.
-            for (j, tree) in subset_trees.iter().enumerate().skip(my_subset + 1) {
-                debug_assert!(j > my_subset);
-                if let Some((q, d)) = tree.nearest_neighbor(pc, None) {
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((q, d));
-                    }
-                }
-            }
-            best
-        });
-        for (ri, found) in exact.into_iter().enumerate() {
-            let p = residual[ri];
-            if let Some((q, d)) = found {
-                debug_assert!(rho[q] > rho[p]);
-                dependent[p] = q;
-                delta[p] = d;
-            }
-            // else: p is the globally densest point → keeps δ = ∞, q = itself.
-        }
-        (dependent, delta, subset_bytes)
+        // Exact computation for P' (§4.3, "Exact computation"). The globally
+        // densest point finds nothing and keeps δ = ∞, q = itself.
+        resolve_nearest_denser(tree, data, rho, &residual, executor, &mut dependent, &mut delta);
+        (dependent, delta)
     }
 }
 
@@ -307,15 +234,14 @@ impl DpcAlgorithm for ApproxDpc {
 
         let start = Instant::now();
         let side = grid_side(self.params.dcut, data.dim(), "d_cut", self.params.dcut)?;
-        let (rho, grid, metas, tree_bytes) = self.densities(data, &executor, side);
+        let (rho, grid, metas, tree) = self.densities(data, &executor, side);
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta, subset_bytes) =
-            self.dependents(data, &executor, &rho, &grid, &metas);
+        let (dependent, delta) = self.dependents(data, &executor, &tree, &rho, &grid, &metas);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
-        let index_bytes = tree_bytes + grid.mem_usage() + subset_bytes;
+        let index_bytes = tree.mem_usage() + grid.mem_usage();
         DpcModel::from_parts(
             self.name(),
             self.params.dcut,
@@ -471,14 +397,6 @@ mod tests {
         let four_d = uniform(20, 4, 10.0, 3);
         let err = ApproxDpc::new(DpcParams::new(5e-324)).fit(&four_d).unwrap_err();
         assert!(matches!(err, DpcError::InvalidParams { param: "d_cut", .. }), "{err:?}");
-    }
-
-    #[test]
-    fn subset_count_grows_slowly_with_n() {
-        assert_eq!(ApproxDpc::subset_count(1, 2), 1);
-        assert!(ApproxDpc::subset_count(1_000, 2) >= 2);
-        assert!(ApproxDpc::subset_count(1_000_000, 2) >= ApproxDpc::subset_count(1_000, 2));
-        assert!(ApproxDpc::subset_count(1_000_000, 2) < 1_000);
     }
 
     #[test]

@@ -7,25 +7,29 @@
 //!   out across the workers, and the answer is in point order. `fit` and
 //!   `fit_keyed` run this one engine and differ only in the key each point's
 //!   density jitter is drawn from.
-//! * **Dependent points** — the key idea of the paper: destroy the tree, sort
-//!   the points by decreasing local density, and re-insert them one at a time
-//!   into an [`IncrementalKdTree`]; when point `p_i` is about to be inserted,
-//!   the tree contains exactly the points with higher density, so a
-//!   nearest-neighbour query returns the exact dependent point (Lemma 2). This
-//!   phase is inherently sequential — the stated limitation of Ex-DPC that
-//!   motivates Approx-DPC — and is why the mutable arena tree survives as a
-//!   separate type next to the packed one.
+//! * **Dependent points** — the exact nearest higher-density point of every
+//!   point (Lemma 2). The paper destroys the tree and re-inserts the points
+//!   one at a time in decreasing density order, so that a nearest-neighbour
+//!   query sees exactly the denser points; that pass is inherently
+//!   sequential. Here the ρ tree is kept instead, a per-node maximum of ρ is
+//!   computed in one pass over its nodes, and every point asks
+//!   [`KdTree::nearest_denser`] for the nearest point with a higher ρ,
+//!   skipping every subtree with no denser point. The queries are independent,
+//!   so they spread across the workers. δ is the re-insertion pass's, bit
+//!   for bit (the same `dist` of the same coordinates), and so is every
+//!   dependent except on an exact distance tie, where the lowest id wins
+//!   instead of whichever candidate a tree's shape reached first.
 
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
 use dpc_index::batchq;
-use dpc_index::{Grid, IncrementalKdTree, KdTree};
+use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    descending_density_order, grid_side, jittered_density, jittered_density_keyed, validate_dataset,
+    grid_side, jittered_density, jittered_density_keyed, resolve_nearest_denser, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -158,10 +162,9 @@ impl ExDpc {
         let rho = self.keyed_densities(data, &tree, &grid, key);
         timings.rho_secs = start.elapsed().as_secs_f64();
         let index_bytes = tree.mem_usage();
-        drop(tree); // §3: "Destroy K" before the dependent phase.
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependent_points(data, &rho);
+        let (dependent, delta) = self.dependents_on(&tree, data, &rho);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(
@@ -176,31 +179,24 @@ impl ExDpc {
     }
 
     /// Computes dependent points and distances given the local densities (the
-    /// `δ` phase on its own). Returns `(dependent, delta)`.
-    ///
-    /// This phase is sequential: the kd-tree is rebuilt incrementally in
-    /// decreasing-density order, which is exactly what makes each
-    /// nearest-neighbour query exact.
+    /// `δ` phase on its own, on a kd-tree it builds for the call; `fit` reuses
+    /// its ρ tree instead). Returns `(dependent, delta)`: `dependent[i]` is the
+    /// nearest point with a higher ρ, the lowest id among equally near ones,
+    /// and the densest point depends on itself with `δ = ∞`.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
+        let tree = KdTree::build_parallel(data, &Executor::new(self.params.threads));
+        self.dependents_on(&tree, data, rho)
+    }
+
+    /// The δ phase on a kd-tree over `data`: one nearest-denser query per
+    /// point, across the configured workers.
+    fn dependents_on(&self, tree: &KdTree, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let n = data.len();
         let mut dependent: Vec<usize> = (0..n).collect();
         let mut delta = vec![f64::INFINITY; n];
-        if n == 0 {
-            return (dependent, delta);
-        }
-        let order = descending_density_order(rho);
-        // Step 1 & 3 of the §3 procedure: the densest point keeps δ = ∞ and
-        // becomes the first tree entry.
-        let mut tree = IncrementalKdTree::new(data.dim());
-        tree.insert(order[0], data.point(order[0]));
-        for &i in order.iter().skip(1) {
-            let (nn, dist) = tree
-                .nearest_neighbor(data.point(i), None)
-                .expect("tree is non-empty after the first insertion");
-            dependent[i] = nn;
-            delta[i] = dist;
-            tree.insert(i, data.point(i));
-        }
+        let executor = Executor::new(self.params.threads);
+        let points: Vec<usize> = (0..n).collect();
+        resolve_nearest_denser(tree, data, rho, &points, &executor, &mut dependent, &mut delta);
         (dependent, delta)
     }
 }
@@ -396,7 +392,7 @@ mod tests {
             // Shifted keys change every jitter (and thus potentially
             // tie-breaks); the keyed fit must still be exact.
             let shifted: Vec<u64> = (0..n as u64).map(|k| k + 1_000_000).collect();
-            let (rho, delta, _) = brute_force(data, &params, |i| shifted[i]);
+            let (rho, delta, dependent) = brute_force(data, &params, |i| shifted[i]);
             for threads in [1usize, 4] {
                 let ex = ExDpc::new(params.with_threads(threads));
                 let plain = ex.fit(data).unwrap();
@@ -405,9 +401,11 @@ mod tests {
                 let other = ex.fit_keyed(data, &shifted).unwrap();
                 assert_eq!(bits(other.rho()), bits(&rho), "set {s}, threads {threads}");
                 assert_eq!(bits(other.delta()), bits(&delta), "set {s}, threads {threads}");
+                // The tie rule: among equally near denser points (the
+                // duplicates' δ = 0 ties) the lowest id is the dependent, as
+                // in the brute-force scan.
+                assert_eq!(other.dependent(), &dependent[..], "set {s}, threads {threads}");
                 for i in 0..n {
-                    let dep = other.dependent()[i];
-                    assert!(dep == i || other.rho()[dep] > other.rho()[i], "set {s}, point {i}");
                     assert_ne!(plain.rho()[i], other.rho()[i], "jitter must depend on the key");
                 }
             }

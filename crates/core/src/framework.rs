@@ -1,11 +1,13 @@
 //! Steps shared by every DPC algorithm: input validation, density
-//! tie-breaking, centre/noise selection, and cluster-label propagation (§2.1
-//! and §2.2, step 4).
+//! tie-breaking, the exact dependent-point query, centre/noise selection, and
+//! cluster-label propagation (§2.1 and §2.2, step 4).
 
 use crate::error::DpcError;
 use crate::params::Thresholds;
 use crate::result::NOISE;
 use dpc_geometry::Dataset;
+use dpc_index::KdTree;
+use dpc_parallel::Executor;
 
 /// Validates a dataset for fitting: rejects an empty dataset
 /// ([`DpcError::EmptyDataset`]) and any NaN/±∞ coordinate
@@ -47,6 +49,34 @@ pub(crate) fn grid_side(
             value,
             requirement: "must give a positive and finite grid cell side",
         })
+    }
+}
+
+/// The exact dependent point (Definition 2) of every `p` in `points`, with
+/// `rank` as the density: the nearest point `q` of `tree` with
+/// `rank[q] > rank[p]`, ties at equal distance going to the lowest id. Writes
+/// `dependent[p] = q` and `delta[p] = dist(p, q)`, one
+/// [`KdTree::nearest_denser`] query per point spread across `executor`; a
+/// point nothing out-ranks keeps its entries.
+pub(crate) fn resolve_nearest_denser(
+    tree: &KdTree,
+    data: &Dataset,
+    rank: &[f64],
+    points: &[usize],
+    executor: &Executor,
+    dependent: &mut [usize],
+    delta: &mut [f64],
+) {
+    let node_max = tree.node_max(rank);
+    let found = executor.map_dynamic(points.len(), |k| {
+        let p = points[k];
+        tree.nearest_denser(data.point(p), rank[p], rank, &node_max)
+    });
+    for (&p, found) in points.iter().zip(found) {
+        if let Some((q, d)) = found {
+            dependent[p] = q;
+            delta[p] = d;
+        }
     }
 }
 
@@ -92,14 +122,6 @@ fn jitter01(x: u64) -> f64 {
 pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..rho.len()).collect();
     order.sort_unstable_by(|&a, &b| rho[b].total_cmp(&rho[a]));
-    order
-}
-
-/// Point identifiers sorted by increasing local density (total, like
-/// [`descending_density_order`]).
-pub fn ascending_density_order(rho: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..rho.len()).collect();
-    order.sort_unstable_by(|&a, &b| rho[a].total_cmp(&rho[b]));
     order
 }
 
@@ -223,25 +245,15 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(desc, descending_density_order(&rho), "must be deterministic");
-        let asc = ascending_density_order(&rho);
-        assert_eq!(asc, ascending_density_order(&rho), "must be deterministic");
         let mut top: Vec<usize> = desc[..2].to_vec();
         top.sort_unstable();
         assert_eq!(top, vec![1, 3], "NaNs sort above every finite density");
-        let mut bottom: Vec<usize> = asc[3..].to_vec();
-        bottom.sort_unstable();
-        assert_eq!(bottom, vec![1, 3], "ascending order mirrors the NaN placement");
     }
 
     #[test]
-    fn density_orders_are_inverse_of_each_other() {
+    fn descending_density_order_sorts_by_decreasing_rho() {
         let rho = vec![3.2, 1.1, 9.9, 0.5, 7.7];
-        let desc = descending_density_order(&rho);
-        let mut asc = ascending_density_order(&rho);
-        asc.reverse();
-        assert_eq!(desc, asc);
-        assert_eq!(desc[0], 2);
-        assert_eq!(desc[4], 3);
+        assert_eq!(descending_density_order(&rho), vec![2, 4, 0, 1, 3]);
     }
 
     /// A small hand-built scenario: two centres, a chain of followers, one

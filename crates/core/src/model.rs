@@ -214,6 +214,12 @@ impl DpcModel {
     }
 
     /// Dependent point `q_i` of every point.
+    ///
+    /// **Tie rule:** wherever a fit searches for the nearest denser point
+    /// exactly (every point in Ex-DPC, `P′` in Approx-DPC, the second-phase
+    /// picked points in S-Approx-DPC), denser points at exactly the same
+    /// distance resolve to the **lowest id**. The dependent therefore never
+    /// depends on an index's shape or on the thread count.
     pub fn dependent(&self) -> &[usize] {
         &self.dependent
     }

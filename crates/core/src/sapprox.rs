@@ -21,9 +21,14 @@
 //!    cell (`N(c)`), giving an approximate dependent distance bounded by
 //!    `(1 + ε)·d_cut`;
 //! 2. the remaining picked points (`P'_pick`, the density peaks of their
-//!    neighbourhood) form *temporary clusters*; each then finds its nearest
-//!    higher-density picked point while pruning whole temporary clusters by the
-//!    triangle inequality (`dist(p_i, p_k) − r_k > dist(p_i, p')`).
+//!    neighbourhood) get their exact nearest higher-density picked point.
+//!    The paper groups the picked points into *temporary clusters* and prunes
+//!    whole clusters by the triangle inequality; here each point of
+//!    `P'_pick` asks the ρ-phase kd-tree ([`KdTree::nearest_denser`]) with
+//!    the picked points' ρ as the rank and every other point masked to `−∞`,
+//!    so subtrees holding no denser picked point are skipped. The answers are
+//!    the temporary clusters' answers (on an exact distance tie the lowest id
+//!    wins), without their `O(|P'_pick| · |G'|)` rescans.
 
 use std::time::Instant;
 
@@ -33,7 +38,7 @@ use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{grid_side, jittered_density, validate_dataset};
+use crate::framework::{grid_side, jittered_density, resolve_nearest_denser, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -194,125 +199,33 @@ impl DpcAlgorithm for SApproxDpc {
                 }
                 best
             });
-        let mut residual: Vec<usize> = Vec::new(); // indices into picked_cells
-        for (ci, found) in first_phase.iter().enumerate() {
-            let me = &picked_cells[ci];
+        let mut residual: Vec<usize> = Vec::new(); // picked points of P'_pick
+        for (me, found) in picked_cells.iter().zip(first_phase) {
             match found {
                 Some((q, d)) => {
-                    dependent[me.picked] = *q;
-                    delta[me.picked] = *d;
+                    dependent[me.picked] = q;
+                    delta[me.picked] = d;
                 }
-                None => residual.push(ci),
+                None => residual.push(me.picked),
             }
         }
 
-        // Second phase: temporary clusters + triangle-inequality pruning.
-        //
-        // Temporary clusters are rooted at the residual picked points; every
-        // other picked point reaches its root by following the first-phase
-        // dependency edges. `root_of[ci]` is the residual root's index in
-        // `residual`, `radius[r]` is max distance from the root to a member.
-        if !residual.is_empty() {
-            let mut root_of: Vec<usize> = vec![usize::MAX; picked_cells.len()];
-            let mut residual_rank: Vec<usize> = vec![usize::MAX; picked_cells.len()];
-            for (r, &ci) in residual.iter().enumerate() {
-                residual_rank[ci] = r;
-            }
-            // Resolve roots by path-following with memoisation (edges always go
-            // to strictly higher density, so there are no cycles).
-            fn find_root(
-                ci: usize,
-                first_phase: &[Option<(usize, f64)>],
-                grid: &Grid,
-                residual_rank: &[usize],
-                root_of: &mut Vec<usize>,
-            ) -> usize {
-                if root_of[ci] != usize::MAX {
-                    return root_of[ci];
-                }
-                let root = if residual_rank[ci] != usize::MAX {
-                    residual_rank[ci]
-                } else {
-                    let (dep_point, _) = first_phase[ci].expect("non-residual has a dependency");
-                    // A picked point's cell index is its cell id.
-                    let dep_ci = grid.cell_of(dep_point);
-                    find_root(dep_ci, first_phase, grid, residual_rank, root_of)
-                };
-                root_of[ci] = root;
-                root
-            }
-            for ci in 0..picked_cells.len() {
-                find_root(ci, &first_phase, &grid, &residual_rank, &mut root_of);
-            }
-            let mut radius = vec![0.0f64; residual.len()];
-            for (ci, pc) in picked_cells.iter().enumerate() {
-                let r = root_of[ci];
-                let root_point = picked_cells[residual[r]].picked;
-                let d = dist(data.point(pc.picked), data.point(root_point));
-                if d > radius[r] {
-                    radius[r] = d;
-                }
-            }
-
-            // Step 3: for each residual root, its nearest higher-density point
-            // among the residual roots (O(|P'_pick|²); the paper assumes
-            // |P'_pick|² = O(n), which holds because residual roots are the
-            // density peaks of their neighbourhoods).
-            // Step 4: scan only the temporary clusters that the triangle
-            // inequality cannot rule out.
-            let resolved: Vec<Option<(usize, f64)>> = executor.map_dynamic(residual.len(), |ri| {
-                let me_ci = residual[ri];
-                let me = &picked_cells[me_ci];
-                let my_coords = data.point(me.picked);
-                // Step 3: p' among residual roots with higher density.
-                let mut bound: Option<(usize, f64)> = None;
-                for (rj, &cj) in residual.iter().enumerate() {
-                    if rj == ri {
-                        continue;
-                    }
-                    let other = &picked_cells[cj];
-                    if other.rho > me.rho {
-                        let d = dist(my_coords, data.point(other.picked));
-                        if bound.is_none_or(|(_, bd)| d < bd) {
-                            bound = Some((other.picked, d));
-                        }
-                    }
-                }
-                let mut best = bound;
-                // Step 4: refine by scanning non-prunable temporary clusters.
-                for (rk, &ck) in residual.iter().enumerate() {
-                    let root = &picked_cells[ck];
-                    let d_root = dist(my_coords, data.point(root.picked));
-                    let prune_dist = best.map(|(_, bd)| bd).unwrap_or(f64::INFINITY);
-                    if root.rho <= me.rho && rk != ri {
-                        continue;
-                    }
-                    if d_root - radius[rk] > prune_dist {
-                        continue;
-                    }
-                    for (cj, pc) in picked_cells.iter().enumerate() {
-                        if root_of[cj] != rk {
-                            continue;
-                        }
-                        if pc.rho > me.rho {
-                            let d = dist(my_coords, data.point(pc.picked));
-                            if best.is_none_or(|(_, bd)| d < bd) {
-                                best = Some((pc.picked, d));
-                            }
-                        }
-                    }
-                }
-                best
-            });
-            for (ri, found) in resolved.into_iter().enumerate() {
-                let me = picked_cells[residual[ri]].picked;
-                if let Some((q, d)) = found {
-                    dependent[me] = q;
-                    delta[me] = d;
-                }
-                // else: globally densest picked point keeps δ = ∞.
-            }
+        // Second phase: the exact nearest denser picked point of each point
+        // of P'_pick. The globally densest picked point finds nothing and
+        // keeps δ = ∞.
+        let mut picked_rho = vec![f64::NEG_INFINITY; n];
+        for pc in &picked_cells {
+            picked_rho[pc.picked] = pc.rho;
         }
+        resolve_nearest_denser(
+            &tree,
+            data,
+            &picked_rho,
+            &residual,
+            &executor,
+            &mut dependent,
+            &mut delta,
+        );
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, index_bytes)

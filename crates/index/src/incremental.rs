@@ -1,20 +1,21 @@
 //! The pointer-arena kd-tree with **incremental insertion and deletion**.
 //!
-//! This is the tree Ex-DPC rebuilds one point at a time during its
-//! dependent-point phase (§3): points are inserted in descending local-density
-//! order so that, when point `p_i` is about to be inserted, the tree contains
-//! exactly the points with higher local density, and a nearest-neighbour query
-//! retrieves the exact dependent point. The streaming maintenance engine
-//! (`StreamingDpc` in `dpc-core`) additionally removes points as a sliding
-//! window advances, so the tree supports `remove` via tombstones with a
+//! The streaming maintenance engine (`StreamingDpc` in `dpc-core`) keeps one
+//! of these alive across a stream, inserting arrivals and removing points as
+//! a sliding window advances. The paper's §3 dependent-point procedure also
+//! runs on it — points inserted in descending local-density order, so a
+//! nearest-neighbour query before each insertion sees exactly the denser
+//! points — and the property tests keep that procedure as the oracle of the
+//! packed tree's `nearest_denser` query. The tree supports `remove` via
+//! tombstones with a
 //! compaction threshold: a removed node stays in place (its subtree links are
 //! still needed for traversal) until tombstones reach a sixteenth of the live
 //! points, at which point the live set is re-bulk-loaded into a balanced tree.
 //!
 //! The tree owns a copy of each inserted point's coordinates, keyed by a
 //! caller-chosen `usize` identifier. Identifiers are expected to be dense
-//! (they index an internal id → node map), which matches both consumers:
-//! Ex-DPC uses dataset indices, `StreamingDpc` uses slot numbers.
+//! (they index an internal id → node map): `StreamingDpc` uses slot numbers,
+//! the §3 oracle dataset indices.
 //!
 //! Two maintenance policies keep long-lived mutable trees (the streaming
 //! sliding window) query-efficient: tombstones are compacted away once they

@@ -47,10 +47,18 @@
 //!   pre-reserved slice — the resulting tree is **bit-identical** to the
 //!   serial build at every thread count.
 //!
-//! The tree is immutable. Ex-DPC's dependent-point phase, which needs
-//! incremental insertion in density order, uses the separate
-//! [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree; keeping mutation
-//! out of this type is what allows the packed layout.
+//! * **Nearest denser point.** [`KdTree::nearest_denser`] is the one δ query
+//!   of every algorithm and of serve `Assign`: the nearest point whose rank
+//!   (its ρ) exceeds a bound, with ties at equal distance going to the lowest
+//!   id. A per-node maximum of the ranks ([`KdTree::node_max`], one pass over
+//!   the nodes) lets it skip every subtree holding no denser point. The
+//!   answers equal those of the §3 re-insertion pass over an incremental tree
+//!   that this query replaced.
+//!
+//! The tree is immutable. The streaming engine, which needs insertion and
+//! deletion, uses the separate [`IncrementalKdTree`](crate::IncrementalKdTree)
+//! arena tree; keeping mutation out of this type is what allows the packed
+//! layout.
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
@@ -161,12 +169,10 @@ impl KdTree {
         tree
     }
 
-    /// Builds the packed tree over a subset of point identifiers.
-    ///
-    /// Used by Approx-DPC's exact dependent-point fallback, which partitions
-    /// `P` into `s` subsets ordered by local density and indexes each one —
-    /// the subset trees are built concurrently (one task per subset), so each
-    /// individual build stays serial.
+    /// Builds the packed tree over a subset of point identifiers, serially and
+    /// without a position map. No fit builds one any more; the persisted tree
+    /// format still admits such trees (`pos: None`), so the build stays for
+    /// the format's tests.
     pub fn build_subset(data: &Dataset, ids: &[usize]) -> Self {
         let ids: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
         Self::build_from_ids(data, ids, &Executor::single())
@@ -217,17 +223,6 @@ impl KdTree {
     /// Whether the tree holds no points.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// The root bounding box `(lows, highs)` over every indexed point, or
-    /// `None` for an empty tree. Callers use it to bound expanding-radius
-    /// search loops: any ball centred at `q` with radius at least the
-    /// distance from `q` to the farthest box corner covers the whole tree.
-    pub fn root_bounds(&self) -> Option<(&[f64], &[f64])> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        Some(self.bounds[..2 * self.dim].split_at(self.dim))
     }
 
     /// Borrowed view of the packed storage: everything a query needs, nothing
@@ -283,6 +278,30 @@ impl KdTree {
     /// contains the excluded point).
     pub fn nearest_neighbor(&self, query: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
         self.packed_parts().nearest_neighbor(query, exclude)
+    }
+
+    /// The maximum of `rank[id]` over the points of each node, in preorder
+    /// node order: the pruning bound [`KdTree::nearest_denser`] takes.
+    /// `rank` is indexed by point id and must cover every indexed id.
+    pub fn node_max(&self, rank: &[f64]) -> Vec<f64> {
+        self.packed_parts().node_max(rank)
+    }
+
+    /// Finds the point `j` minimising `(dist(query, j), j)` among the indexed
+    /// points with `rank[j] > above`: the nearest point denser than the query,
+    /// ties at equal distance going to the lowest id. `node_max` must be
+    /// [`KdTree::node_max`] of the same `rank`.
+    ///
+    /// Returns `(j, distance)`, or `None` when no indexed point out-ranks
+    /// `above`. This is the dependent-point query of Definition 2.
+    pub fn nearest_denser(
+        &self,
+        query: &[f64],
+        above: f64,
+        rank: &[f64],
+        node_max: &[f64],
+    ) -> Option<(usize, f64)> {
+        self.packed_parts().nearest_denser(query, above, rank, node_max)
     }
 
     /// Whether two trees have bit-identical packed layouts: same permuted
@@ -615,6 +634,84 @@ impl PackedParts<'_> {
         } else {
             Some((best_id as usize, best_d.sqrt()))
         }
+    }
+
+    /// Per-node maximum of `rank` over each node's points. See
+    /// [`KdTree::node_max`]. Children follow their parent in preorder, so one
+    /// reverse pass sees both children before the parent.
+    pub fn node_max(&self, rank: &[f64]) -> Vec<f64> {
+        let mut max = vec![f64::NEG_INFINITY; self.nodes.len()];
+        for (idx, node) in self.nodes.iter().enumerate().rev() {
+            max[idx] = if node.is_leaf() {
+                self.ids[node.start as usize..node.end as usize]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &id| m.max(rank[id as usize]))
+            } else {
+                max[idx + 1].max(max[node.right as usize])
+            };
+        }
+        max
+    }
+
+    /// The nearest point out-ranking `above`, lowest id among equal
+    /// distances. See [`KdTree::nearest_denser`].
+    pub fn nearest_denser(
+        &self,
+        query: &[f64],
+        above: f64,
+        rank: &[f64],
+        node_max: &[f64],
+    ) -> Option<(usize, f64)> {
+        if self.ids.is_empty() || node_max[0] <= above {
+            return None;
+        }
+        let dim = self.dim;
+        let mut best_id = NONE;
+        let mut best_d = f64::INFINITY;
+        let mut stack = [(0u32, 0.0f64); STACK_CAP];
+        let mut top = 1usize;
+        while top > 0 {
+            top -= 1;
+            let (node_idx, min_d) = stack[top];
+            // `>`, not `>=`: a box exactly at the best distance may still
+            // hold a lower id at that distance.
+            if min_d > best_d {
+                continue;
+            }
+            let node = &self.nodes[node_idx as usize];
+            if node.is_leaf() {
+                for k in node.start as usize..node.end as usize {
+                    let id = self.ids[k];
+                    if rank[id as usize] > above {
+                        let d = dist_sq(query, &self.coords[k * dim..(k + 1) * dim]);
+                        if d < best_d || (d == best_d && id < best_id) {
+                            best_d = d;
+                            best_id = id;
+                        }
+                    }
+                }
+                continue;
+            }
+            // Push the children that hold a denser point, the farther one
+            // first so the nearer one is explored first.
+            let visit = |child: u32| {
+                (node_max[child as usize] > above).then(|| {
+                    let (lo, hi) = self.node_bounds(child as usize);
+                    (child, min_dist_sq_to_rect(query, lo, hi))
+                })
+            };
+            let (mut first, mut second) = (visit(node_idx + 1), visit(node.right));
+            if let (Some(l), Some(r)) = (first, second) {
+                if l.1 <= r.1 {
+                    (first, second) = (second, first);
+                }
+            }
+            for child in [first, second].into_iter().flatten() {
+                stack[top] = child;
+                top += 1;
+            }
+        }
+        (best_id != NONE).then(|| (best_id as usize, best_d.sqrt()))
     }
 }
 
@@ -1276,5 +1373,103 @@ mod tests {
         let ds = random_dataset(128, 2, 2);
         let tree = KdTree::build(&ds);
         assert!(tree.mem_usage() >= 128 * std::mem::size_of::<u32>());
+    }
+
+    /// `O(n)` reference for `nearest_denser`: the lowest id among the
+    /// nearest points with `rank > above`.
+    fn brute_denser(ds: &Dataset, q: &[f64], above: f64, rank: &[f64]) -> Option<(usize, f64)> {
+        ds.iter()
+            .filter(|&(j, _)| rank[j] > above)
+            .map(|(j, p)| (j, dist(q, p)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    }
+
+    /// Checks `nearest_denser` on the tree and on its packed view against
+    /// [`brute_denser`], bit for bit, from every point (above its own rank)
+    /// and from random off-dataset queries.
+    fn assert_denser_matches_brute_force(ds: &Dataset, rank: &[f64], seed: u64) {
+        let tree = KdTree::build(ds);
+        let node_max = tree.node_max(rank);
+        let view = tree.packed_parts();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<(Vec<f64>, f64)> =
+            (0..ds.len()).map(|i| (ds.point(i).to_vec(), rank[i])).collect();
+        for _ in 0..100 {
+            let q = (0..ds.dim()).map(|_| rng.gen_range(-20.0..120.0)).collect();
+            queries.push((q, rng.gen_range(-1.0..40.0)));
+        }
+        let bits = |r: Option<(usize, f64)>| r.map(|(j, d)| (j, d.to_bits()));
+        for (k, (q, above)) in queries.iter().enumerate() {
+            let want = bits(brute_denser(ds, q, *above, rank));
+            let got = bits(tree.nearest_denser(q, *above, rank, &node_max));
+            assert_eq!(got, want, "seed {seed}, dim {}, query {k}", ds.dim());
+            assert_eq!(bits(view.nearest_denser(q, *above, rank, &node_max)), want);
+        }
+    }
+
+    #[test]
+    fn nearest_denser_matches_brute_force() {
+        for (dim, n) in [(2usize, 700usize), (3, 500), (8, 300)] {
+            let seed = 60 + dim as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rank: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..30.0)).collect();
+            assert_denser_matches_brute_force(&random_dataset(n, dim, seed), &rank, seed);
+            // Lattice-snapped duplicates with integer ranks: equal distances
+            // and equal ranks everywhere, so the lowest-id rule and the
+            // strict `rank > above` decide most answers.
+            let mut snapped = random_dataset(n, dim, seed + 100);
+            snapped = Dataset::from_flat(
+                dim,
+                snapped.flat().iter().map(|c| (c / 25.0).floor() * 25.0).collect(),
+            );
+            let int_rank: Vec<f64> = rank.iter().map(|r| r.floor()).collect();
+            assert_denser_matches_brute_force(&snapped, &int_rank, seed + 100);
+        }
+    }
+
+    #[test]
+    fn nearest_denser_honours_a_masked_rank() {
+        // Only every third point carries a rank, the rest are masked with
+        // −∞ and may never be returned, not even for `above = −∞`.
+        let ds = random_dataset(600, 2, 71);
+        let rank: Vec<f64> =
+            (0..600).map(|j| if j % 3 == 0 { j as f64 } else { f64::NEG_INFINITY }).collect();
+        assert_denser_matches_brute_force(&ds, &rank, 71);
+        let tree = KdTree::build(&ds);
+        let node_max = tree.node_max(&rank);
+        for i in 0..40 {
+            let (j, _) =
+                tree.nearest_denser(ds.point(i), f64::NEG_INFINITY, &rank, &node_max).unwrap();
+            assert_eq!(j % 3, 0, "query {i} returned masked point {j}");
+        }
+    }
+
+    #[test]
+    fn nearest_denser_finds_nothing_above_the_maximum_rank() {
+        let ds = random_dataset(300, 3, 72);
+        let rank: Vec<f64> = (0..300).map(|j| (j % 50) as f64).collect();
+        let tree = KdTree::build(&ds);
+        let node_max = tree.node_max(&rank);
+        assert_eq!(node_max[0], 49.0);
+        for above in [49.0, 50.0, f64::INFINITY] {
+            assert!(tree.nearest_denser(&[50.0; 3], above, &rank, &node_max).is_none());
+        }
+        // Just below the maximum only the rank-49 points qualify.
+        let (j, _) = tree.nearest_denser(&[50.0; 3], 48.5, &rank, &node_max).unwrap();
+        assert_eq!(rank[j], 49.0);
+    }
+
+    #[test]
+    fn nearest_denser_on_an_empty_tree_and_a_single_point() {
+        let empty = KdTree::build(&Dataset::new(2));
+        let node_max = empty.node_max(&[]);
+        assert!(node_max.is_empty());
+        assert!(empty.nearest_denser(&[0.0, 0.0], f64::NEG_INFINITY, &[], &node_max).is_none());
+
+        let ds = Dataset::from_flat(2, vec![3.0, 4.0]);
+        let tree = KdTree::build(&ds);
+        let node_max = tree.node_max(&[1.0]);
+        assert_eq!(tree.nearest_denser(&[0.0, 0.0], 0.5, &[1.0], &node_max), Some((0, 5.0)));
+        assert!(tree.nearest_denser(&[0.0, 0.0], 1.0, &[1.0], &node_max).is_none());
     }
 }

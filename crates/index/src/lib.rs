@@ -7,13 +7,12 @@
 //!   entirely inside the query ball contributes its size without visiting a
 //!   point — and all query paths are allocation-free. Construction fans out
 //!   across worker threads ([`KdTree::build_parallel`]) with a bit-identical
-//!   result at every thread count. See the module docs of [`kdtree`] for the
-//!   layout.
+//!   result at every thread count. Its `nearest_denser` query answers every
+//!   δ search. See the module docs of [`kdtree`] for the layout.
 //! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
-//!   **incremental insertion**: Ex-DPC builds the optimal tree for
-//!   dependent-point retrieval one point at a time (§3). Also retains the
-//!   seed's bulk construction so benches and property tests can compare the
-//!   packed tree against the original layout.
+//!   **insertion and deletion**, kept alive across a stream by the streaming
+//!   engine. Also retains the seed's bulk construction so benches and
+//!   property tests can compare the packed tree against the original layout.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or

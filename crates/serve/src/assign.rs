@@ -13,13 +13,13 @@
 //!    to that point's own fitted `ρ`/`δ`/dependent/label, making assignment
 //!    of in-dataset points exact by construction.
 //! 2. **Dependent point.** The nearest snapshot point with `ρ > ρ_q`, found
-//!    by an expanding-radius search: start at
-//!    `max(nearest-neighbour distance, d_cut)` and double until a
-//!    higher-density point falls inside the ball (any qualifying point at
-//!    distance `d ≤ r` proves the global nearest qualifier is also inside the
-//!    ball) or the ball swallows the whole dataset — in which case the query
-//!    out-ranks every fitted point and gets `δ = ∞`, exactly like the
-//!    globally densest fitted point.
+//!    by one [`KdTree::nearest_denser`](dpc_index::KdTree::nearest_denser)
+//!    query that skips every subtree whose maximum fitted ρ is at most `ρ_q`
+//!    (the snapshot holds that per-node maximum). Among equally near denser
+//!    points the lowest id wins. When no fitted point out-ranks the query it
+//!    gets `δ = ∞` and no dependent, exactly like the globally densest fitted
+//!    point. This single query replaced an expanding-radius search with the
+//!    same answers.
 //! 3. **Label.** The dependent point's label under the snapshot's default
 //!    thresholds, read from the cached [`Clustering`](dpc_core::Clustering)
 //!    in `O(1)` — label propagation follows dependency chains, so one hop
@@ -50,11 +50,11 @@ pub fn classify(snapshot: &Snapshot, point: &[f64]) -> Result<AssignResponse, Dp
     })
 }
 
-/// [`classify`] under a per-request time budget: the deadline is checked once
-/// up front and then at the top of every expanding-radius round — the
-/// phase boundaries where abandoning the search costs nothing. A request that
-/// trips the deadline returns [`ServeError::DeadlineExceeded`] and **no**
-/// partial answer.
+/// [`classify`] under a per-request time budget: the deadline is checked once,
+/// up front, before any index work — a classification is two bounded tree
+/// queries plus a range count, with no rounds left to abandon between. A
+/// request that trips the deadline returns [`ServeError::DeadlineExceeded`]
+/// and **no** partial answer.
 ///
 /// # Errors
 /// The [`classify`] validation errors (wrapped in [`ServeError::Dpc`]), plus
@@ -84,19 +84,6 @@ pub(crate) fn classify_prepared(
     deadline: &Deadline,
     precomputed_rho: Option<f64>,
 ) -> Result<AssignResponse, ServeError> {
-    classify_instrumented(snapshot, point, deadline, precomputed_rho).map(|(r, _)| r)
-}
-
-/// [`classify_prepared`] that also reports how many expanding-radius rounds
-/// the dependent search ran. Exposed to the tests pinning the radius clamp:
-/// a far-outlier query must converge in a constant number of rounds, not
-/// double its way through dozens of futile traversals.
-pub(crate) fn classify_instrumented(
-    snapshot: &Snapshot,
-    point: &[f64],
-    deadline: &Deadline,
-    precomputed_rho: Option<f64>,
-) -> Result<(AssignResponse, usize), ServeError> {
     deadline.check()?;
     if point.len() != snapshot.dim() {
         return Err(DpcError::DimensionMismatch {
@@ -126,90 +113,39 @@ pub(crate) fn classify_instrumented(
         let rho = model.rho_at(nn);
         let delta = model.delta_at(nn);
         let dependent = model.dependent_at(nn);
-        return Ok((
-            AssignResponse {
-                epoch: snapshot.epoch(),
-                n,
-                rho,
-                delta,
-                dependent: if dependent == nn { None } else { Some(dependent) },
-                label: clustering.assignment[nn],
-                would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
-            },
-            0,
-        ));
+        return Ok(AssignResponse {
+            epoch: snapshot.epoch(),
+            n,
+            rho,
+            delta,
+            dependent: if dependent == nn { None } else { Some(dependent) },
+            label: clustering.assignment[nn],
+            would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
+        });
     }
 
     let rho = precomputed_rho
         .unwrap_or_else(|| tree.range_count(point, snapshot.dcut(), None) as f64 + 0.5);
 
-    // Any radius reaching the farthest corner of the root bounding box covers
-    // every fitted point, so doubling past `r_max` is pure waste: a far
-    // outlier's first ball already contains the whole dataset, but the
-    // unclamped doubling would have to walk the radius all the way from
-    // `nn_dist` to past the data diameter (or worse, to ∞) in futile rounds.
-    // The tiny relative bump keeps the cover property under the rounding of
-    // the distance computation itself.
-    let bounds = tree.root_bounds().expect("snapshot datasets are never empty");
-    let r_max = {
-        let (lo, hi) = bounds;
-        let far_sq: f64 = point
-            .iter()
-            .zip(lo.iter().zip(hi.iter()))
-            .map(|(&c, (&l, &h))| {
-                let d = (c - l).abs().max((h - c).abs());
-                d * d
-            })
-            .sum();
-        far_sq.sqrt() * (1.0 + 1e-9)
-    };
-
-    // Expanding-radius search for the nearest fitted point denser than the
-    // query. Any qualifier inside the current ball bounds the answer inside
-    // the same ball, so the first non-empty round is conclusive; the round
-    // running at the clamp is provably total (its ball holds all `n` points).
-    let mut radius = nn_dist.max(snapshot.dcut()).min(r_max);
-    let mut rounds = 0usize;
-    let mut ball = Vec::new();
-    let (dependent, delta) = loop {
-        // Each round multiplies the searched volume, so checking here bounds
-        // the wasted work to one round past the budget.
-        deadline.check()?;
-        rounds += 1;
-        ball.clear();
-        tree.range_search_into(point, radius, &mut ball);
-        let best = ball
-            .iter()
-            .filter(|&&j| model.rho_at(j) > rho)
-            .map(|&j| (j, dpc_geometry::dist(point, snapshot.data().point(j))))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((j, d)) = best {
-            break (Some(j), d);
-        }
-        if ball.len() == n {
-            // The ball swallowed the dataset and nobody out-ranks the query:
-            // it would have been the globally densest point.
-            break (None, f64::INFINITY);
-        }
-        radius = (radius * 2.0).min(r_max);
-    };
+    let (dependent, delta) =
+        match tree.nearest_denser(point, rho, model.rho(), &snapshot.rho_node_max) {
+            Some((j, d)) => (Some(j), d),
+            None => (None, f64::INFINITY),
+        };
 
     let label = match dependent {
         Some(j) if rho >= thresholds.rho_min => clustering.assignment[j],
         _ => NOISE,
     };
-    Ok((
-        AssignResponse {
-            epoch: snapshot.epoch(),
-            n,
-            rho,
-            delta,
-            dependent,
-            label,
-            would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
-        },
-        rounds,
-    ))
+    Ok(AssignResponse {
+        epoch: snapshot.epoch(),
+        n,
+        rho,
+        delta,
+        dependent,
+        label,
+        would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
+    })
 }
 
 #[cfg(test)]
@@ -263,28 +199,57 @@ mod tests {
     }
 
     #[test]
-    fn a_far_outlier_converges_in_a_bounded_number_of_rounds() {
+    fn a_far_outlier_gets_the_nearest_denser_point_or_infinity() {
         let snap = snapshot();
         let deadline = Deadline::none();
-        // Far outside the root bounding box on every axis. The clamp pins the
-        // expanding radius at the box's far corner, so the search needs at
-        // most "nearest point" + "whole dataset" rounds; the unclamped
-        // doubling had no such cap and its round count scaled with
-        // log(query distance / d_cut).
+        // Far outside the dataset's bounding box on every axis.
         let q = [-1.0e6, 1.0e6];
-        let (r, rounds) = classify_instrumented(&snap, &q, &deadline, None).unwrap();
+        let r = classify_prepared(&snap, &q, &deadline, None).unwrap();
         assert_eq!(r.rho, 0.5);
         assert_eq!(r.label, NOISE);
         assert!(r.delta.is_finite(), "some fitted point out-ranks ρ = 0.5");
-        assert!(rounds <= 2, "far outlier took {rounds} rounds");
 
-        // Same far query pretending to out-rank the whole dataset: the search
-        // must conclude "globally densest" right after covering the box
-        // instead of doubling onward toward infinity.
-        let (r, rounds) = classify_instrumented(&snap, &q, &deadline, Some(1.0e9)).unwrap();
+        // Same far query pretending to out-rank the whole dataset: it is the
+        // globally densest point, with no dependent.
+        let r = classify_prepared(&snap, &q, &deadline, Some(1.0e9)).unwrap();
         assert!(r.delta.is_infinite());
         assert_eq!(r.dependent, None);
-        assert!(rounds <= 3, "densest far outlier took {rounds} rounds");
+    }
+
+    #[test]
+    fn off_dataset_queries_match_an_exhaustive_scan() {
+        let snap = snapshot();
+        let (data, model) = (snap.data(), snap.model());
+        let mut rng = dpc_rng::StdRng::seed_from_u64(5);
+        let mut queries: Vec<[f64; 2]> =
+            (0..200).map(|_| [rng.gen_range(-10.0..90.0), rng.gen_range(-10.0..90.0)]).collect();
+        // Midpoints of fitted pairs: two candidates at (nearly) one distance.
+        queries.extend((0..20).map(|i| {
+            let (a, b) = (data.point(i), data.point(i + 100));
+            [(a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0]
+        }));
+        for q in &queries {
+            let r = classify(&snap, q).unwrap();
+            let dists: Vec<f64> =
+                (0..snap.n()).map(|j| dpc_geometry::dist(q, data.point(j))).collect();
+            if dists.contains(&0.0) {
+                continue; // in-dataset: answered by the fitted quantities
+            }
+            let rho = dists.iter().filter(|&&d| d <= snap.dcut()).count() as f64 + 0.5;
+            // Lowest id among the nearest denser points.
+            let want = (0..snap.n())
+                .filter(|&j| model.rho_at(j) > rho)
+                .min_by(|&a, &b| dists[a].total_cmp(&dists[b]).then(a.cmp(&b)));
+            let label = match want {
+                Some(j) if rho >= snap.thresholds().rho_min => snap.clustering().assignment[j],
+                _ => NOISE,
+            };
+            assert_eq!(r.rho.to_bits(), rho.to_bits(), "query {q:?}");
+            assert_eq!(r.dependent, want, "query {q:?}");
+            let delta = want.map_or(f64::INFINITY, |j| dists[j]);
+            assert_eq!(r.delta.to_bits(), delta.to_bits(), "query {q:?}");
+            assert_eq!(r.label, label, "query {q:?}");
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!    would push the in-flight count past the cap is shed immediately with
 //!    [`ServeError::Overloaded`] — no snapshot pinned, no work started.
 //! 2. **Deadline.** With [`ServeConfig::deadline`] set, the clock starts at
-//!    admission; handlers check it at phase boundaries (each
-//!    expanding-radius round of `Assign`) and abandon with
-//!    [`ServeError::DeadlineExceeded`], never a partial answer.
+//!    admission; handlers check it at phase boundaries (dispatch entry, and
+//!    the start of `Assign`'s classification and of an ingest) and abandon
+//!    with [`ServeError::DeadlineExceeded`], never a partial answer.
 //! 3. **Panic isolation.** Dispatch runs inside
 //!    [`std::panic::catch_unwind`]: a panicking handler becomes
 //!    [`ServeError::HandlerPanic`] and the server keeps serving. This is

@@ -2,10 +2,10 @@
 //!
 //! A [`Snapshot`] bundles everything a request needs to be answered without
 //! touching shared mutable state: the dataset the model was fitted on, the
-//! fitted [`DpcModel`], a packed [`KdTree`] over the same data (for the
-//! point-assignment queries), the snapshot's default [`Thresholds`] and the
-//! [`Clustering`] cached for them, and the epoch number the store stamped at
-//! install time. Readers hold a snapshot through an `Arc`, so an epoch that
+//! fitted [`DpcModel`], a packed [`KdTree`] over the same data with the
+//! per-node maximum of the fitted ρ (for the point-assignment queries), the
+//! snapshot's default [`Thresholds`] and the [`Clustering`] cached for them,
+//! and the epoch number the store stamped at install time. Readers hold a snapshot through an `Arc`, so an epoch that
 //! has been replaced in the [`ModelStore`](crate::ModelStore) stays fully
 //! usable until its last reader drops it — old epochs drain naturally, and no
 //! request can observe half of one epoch and half of another.
@@ -24,6 +24,9 @@ use dpc_persist::SnapshotArtifact;
 pub struct Snapshot {
     data: Arc<Dataset>,
     tree: KdTree,
+    /// [`KdTree::node_max`] of the fitted ρ: the pruning bound of `Assign`'s
+    /// nearest-denser query. Rebuilt in `O(n)` at load, never persisted.
+    pub(crate) rho_node_max: Vec<f64>,
     model: DpcModel,
     /// The clustering extracted at `thresholds`, cached so `Assign` can walk
     /// a dependency chain in `O(1)` (the `O(n)` label propagation already
@@ -37,8 +40,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// Assembles a snapshot from a fitted model and the dataset it was fitted
     /// on: builds the packed kd-tree over the data (fanning construction out
-    /// across `executor`'s workers) and caches the clustering for
-    /// `thresholds`. The epoch is `0` until
+    /// across `executor`'s workers) with the per-node maximum of the fitted ρ,
+    /// and caches the clustering for `thresholds`. The epoch is `0` until
     /// [`ModelStore::install`](crate::ModelStore) stamps it.
     ///
     /// # Panics
@@ -58,8 +61,9 @@ impl Snapshot {
             data.len()
         );
         let tree = KdTree::build_parallel(&data, executor);
+        let rho_node_max = tree.node_max(model.rho());
         let clustering = model.extract(&thresholds);
-        Self { data, tree, model, clustering, thresholds, epoch: 0 }
+        Self { data, tree, rho_node_max, model, clustering, thresholds, epoch: 0 }
     }
 
     /// Serialises this epoch into a single snapshot artifact buffer
@@ -76,8 +80,9 @@ impl Snapshot {
     /// storage is decoded (and exhaustively validated against the decoded
     /// dataset) instead of being reconstructed, which is what makes cold
     /// starts cheap. Only the `O(n)` label propagation for the persisted
-    /// thresholds runs at load time. The epoch is `0` until
-    /// [`ModelStore::install`](crate::ModelStore) stamps it.
+    /// thresholds and the `O(n)` per-node ρ maximum run at load time. The
+    /// epoch is `0` until [`ModelStore::install`](crate::ModelStore) stamps
+    /// it.
     ///
     /// The result is indistinguishable from the snapshot that was saved:
     /// model and tree decode `layout_eq` to the originals, so every
@@ -93,8 +98,9 @@ impl Snapshot {
         let model = artifact.model().to_model()?;
         let thresholds = artifact.thresholds();
         let tree = artifact.tree().to_tree(&data)?;
+        let rho_node_max = tree.node_max(model.rho());
         let clustering = model.extract(&thresholds);
-        Ok(Self { data, tree, model, clustering, thresholds, epoch: 0 })
+        Ok(Self { data, tree, rho_node_max, model, clustering, thresholds, epoch: 0 })
     }
 
     /// The epoch this snapshot was installed as (unique and monotonically
@@ -157,9 +163,11 @@ impl Snapshot {
 
     /// Approximate heap bytes of the index structures this snapshot pins in
     /// memory: the fit-time indexes accounted in the model plus the serving
-    /// kd-tree.
+    /// kd-tree and its per-node ρ maximum.
     pub fn index_bytes(&self) -> usize {
-        self.model.index_bytes() + self.tree.mem_usage()
+        self.model.index_bytes()
+            + self.tree.mem_usage()
+            + self.rho_node_max.capacity() * std::mem::size_of::<f64>()
     }
 }
 
