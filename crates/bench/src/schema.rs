@@ -367,6 +367,33 @@ pub mod required {
     pub const INGEST: &[&str] = &["ingest_sustained", "ingest_churn", "refit_per_window"];
 }
 
+/// The ingest bar: from a window of `INGEST_RATIO_MIN_N` points on, one
+/// refit of the window (`refit_per_window`) must take at least
+/// `INGEST_RATIO` times as long as absorbing one batch through the streaming
+/// engine (`ingest_sustained`), by mean time. A ratio of two kernels timed on
+/// the same machine does not depend on the machine, so it is gated where
+/// absolute seconds are only reported. Smaller windows (the CI smoke run)
+/// are exempt: there a refit is too cheap for the bar to mean anything.
+const INGEST_RATIO: f64 = 5.0;
+const INGEST_RATIO_MIN_N: usize = 20_000;
+
+/// Checks the ratio invariants between the kernels of one `bench` file.
+fn check_ratios(bench: &str, records: &[BenchRecord]) -> Result<(), String> {
+    let find = |kernel: &str| records.iter().find(|r| r.kernel == kernel);
+    if bench == "ingest" {
+        if let (Some(ingest), Some(refit)) = (find("ingest_sustained"), find("refit_per_window")) {
+            if refit.n >= INGEST_RATIO_MIN_N && refit.mean_secs < INGEST_RATIO * ingest.mean_secs {
+                return Err(format!(
+                    "ratio invariant: refit_per_window ({:e} s) must take at least \
+                     {INGEST_RATIO}× ingest_sustained ({:e} s) at n = {}",
+                    refit.mean_secs, ingest.mean_secs, refit.n
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Looks a key up in an object, requiring it to be present exactly once.
 fn field<'j>(obj: &'j [(String, Json)], key: &str, ctx: &str) -> Result<&'j Json, String> {
     let mut found = None;
@@ -413,7 +440,9 @@ fn as_secs(value: &Json, ctx: &str) -> Result<f64, String> {
 ///   string, unique within the file), `n` ≥ 1, `d` ≥ 1, `iters` ≥ 1
 ///   (integers) and `min_secs` / `mean_secs` (finite, non-negative,
 ///   `min_secs ≤ mean_secs` up to rounding);
-/// * every kernel named in `required_kernels` is present.
+/// * every kernel named in `required_kernels` is present;
+/// * the file's ratio invariants hold (ingest: a refit of a window of at
+///   least 20,000 points takes ≥ 5× a sustained-ingest batch).
 ///
 /// Returns the records so callers can assert on them further.
 pub fn validate_bench_json(
@@ -488,6 +517,7 @@ pub fn validate_bench_json(
             return Err(format!("required kernel \"{required}\" is missing (have {have:?})"));
         }
     }
+    check_ratios(expected_bench, &records)?;
     Ok(records)
 }
 
@@ -678,6 +708,35 @@ mod tests {
         // Duplicate fields within one result are drift, not a silent override.
         let dup_field = VALID.replace("\"n\": 1, \"d\": 1", "\"n\": 1, \"n\": 1");
         assert!(validate_bench_json(&dup_field, "b", &[]).unwrap_err().contains("duplicate"));
+    }
+
+    /// An ingest record passes when the refit takes ≥ 5× a sustained-ingest
+    /// batch at n ≥ 20,000, fails below that, and is exempt at smaller n.
+    #[test]
+    fn ingest_ratio_invariant_gates_full_size_records() {
+        let doc = |n: usize, ingest: f64, refit: f64| {
+            let row = |kernel: &str, secs: f64| {
+                format!(
+                    "{{\"kernel\": \"{kernel}\", \"n\": {n}, \"d\": 2, \"iters\": 3, \"min_secs\": {secs:e}, \"mean_secs\": {secs:e}}}"
+                )
+            };
+            format!(
+                "{{\"bench\": \"ingest\", \"results\": [{}, {}, {}]}}",
+                row("ingest_sustained", ingest),
+                row("ingest_churn", ingest),
+                row("refit_per_window", refit)
+            )
+        };
+        assert!(
+            validate_bench_json(&doc(20_000, 4.0e-3, 4.0e-2), "ingest", required::INGEST).is_ok()
+        );
+        let err = validate_bench_json(&doc(20_000, 1.0e-2, 4.0e-2), "ingest", required::INGEST)
+            .unwrap_err();
+        assert!(err.contains("ratio invariant"), "{err}");
+        // The same ratio at smoke size is not gated.
+        assert!(
+            validate_bench_json(&doc(2_000, 1.0e-2, 4.0e-2), "ingest", required::INGEST).is_ok()
+        );
     }
 
     #[test]

@@ -27,12 +27,14 @@
 //!
 //!   Case 3 is enumerated **spatially**, never by scanning the ρ order (at
 //!   uniform density a width-1 ρ interval holds `Θ(n / max count)` points, so
-//!   an index over ρ degrades the repair to a near-linear sweep). On insert,
-//!   every point that gained a denser point did so through the arrival or a
-//!   bumped neighbour — all within `d_cut` of the arrival — so a repairable
-//!   `x` satisfies `dist(x, arrival) < δ_x + d_cut`. Candidates with a small
-//!   δ are caught by widening the arrival's ρ range query to
-//!   `d_cut + far_cut`; the rest — the heavy right tail of the δ
+//!   an index over ρ degrades the repair to a near-linear sweep). Insert and
+//!   delete share one **merged frontier**: a single range query of radius
+//!   `d_cut + far_cut` around the touched point yields both the `d_cut` ball
+//!   and the case-3 candidates. On insert, every point that gained a denser
+//!   point did so through the arrival or a bumped neighbour — all within
+//!   `d_cut` of the arrival — so a repairable `x` satisfies
+//!   `dist(x, arrival) < δ_x + d_cut`: candidates with δ ≤ `far_cut` are in
+//!   the frontier, and the rest — the heavy right tail of the δ
 //!   distribution, too spread out for any spatial pruning to pay — are
 //!   mirrored in a flat **far list** (coordinates and δ stored contiguously)
 //!   and swept sequentially. The tail of a DPC δ distribution is small by
@@ -41,14 +43,22 @@
 //!   window through a fraction of its cache lines. On delete, only a bumped
 //!   neighbour `q` itself can gain denser points (the crossed interval is
 //!   *below* everyone else), and any improvement lies strictly inside its
-//!   current δ ball: one δ-bounded range query around `q`, falling back to a
-//!   fresh expanding recompute when δ_q is large (the rare local peaks).
+//!   current δ ball, hence within `δ_q + d_cut` of the removed point: for
+//!   δ_q ≤ `far_cut` the candidates are in the frontier, and a `q` above
+//!   `far_cut` (the rare local peaks) gets a full nearest-denser search.
+//!
+//!   A candidate meets the crossing intervals through one lookup on a list
+//!   sorted by the interval's low end. ρ is `count + jitter` with a fixed
+//!   per-point jitter in (0, 1), so every interval spans one count and only
+//!   the intervals starting in `[ρ_x − 2, ρ_x)` can contain ρ_x; a binary
+//!   search finds that window and the exact test runs inside it.
 //!
 //!   Either way the stale value is a one-sided bound (on insert nobody's δ
 //!   can grow except through its dependent, on delete nobody's δ can shrink
 //!   except through new denser points), so a single distance comparison per
-//!   candidate repairs it; only cases 1–2 pay a nearest-denser search
-//!   (expanding-radius range queries against the incremental kd-tree).
+//!   candidate repairs it; only cases 1–2 and the delete side's peaks pay a
+//!   nearest-denser search
+//!   ([`IncrementalKdTree::nearest_denser`], one branch-and-bound descent).
 //!
 //! A sliding-window mode ([`StreamingDpc::with_window`]) batches expiry of
 //! the oldest points: once the window overflows by a full batch, the oldest
@@ -67,11 +77,14 @@ use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 
-/// δ threshold, as a multiple of `d_cut`, above which a point is tracked in
-/// the flat far list instead of being found by the widened insert-frontier
-/// range query. Raising it shrinks the far list but widens (quadratically,
-/// in area) the range query; `1×` balances the two for ball populations in
-/// the localized-repair regime.
+/// δ threshold `far_cut`, as a multiple of `d_cut`. It sets the radius
+/// `d_cut + far_cut` of the merged frontier query on both sides: on insert a
+/// point with δ above it is tracked in the flat far list instead of being
+/// found by the frontier, and on delete a bumped neighbour with δ above it
+/// gets a full nearest-denser search instead of a frontier repair. Raising
+/// it shrinks the far list and the searches but widens (quadratically, in
+/// area) the range query; `1×` balances the two for ball populations in the
+/// localized-repair regime.
 const FAR_FACTOR: f64 = 1.0;
 
 /// Slot marker for "not in the far list".
@@ -144,10 +157,10 @@ pub struct StreamingDpc {
     next_id: u64,
     // ---- query scratch (kept to avoid per-operation allocation)
     scratch_ball: Vec<usize>,
-    scratch_inner: Vec<usize>,
     scratch_near: Vec<usize>,
     scratch_far: Vec<usize>,
-    /// Per-bumped-neighbour `(slot, old ρ, new ρ)` crossing intervals.
+    /// Per-bumped-neighbour `(slot, lo, hi)` crossing intervals between the
+    /// old and the new ρ, sorted by `lo` (see [`crossing`]).
     scratch_ivals: Vec<(u32, f64, f64)>,
 }
 
@@ -191,7 +204,6 @@ impl StreamingDpc {
             expired: Vec::new(),
             next_id: 0,
             scratch_ball: Vec::new(),
-            scratch_inner: Vec::new(),
             scratch_near: Vec::new(),
             scratch_far: Vec::new(),
             scratch_ivals: Vec::new(),
@@ -320,61 +332,48 @@ impl StreamingDpc {
         self.far_pos[xi] = NO_POS;
     }
 
-    /// Exact δ recompute for live slot `x`: expanding-radius search for the
-    /// nearest strictly denser live point, starting at `start` (clamped up
-    /// to `d_cut`) and doubling. Correct for **any** start radius: a denser
-    /// point found at distance `d` inside the current ball beats everything
-    /// outside it (those are farther than the radius, hence than `d`), and a
-    /// ball covering every live point proves there is none (δ = ∞, the
-    /// globally densest point). Callers pass the old δ when the update can
-    /// only grow it, resuming the search where the answer must lie instead
-    /// of re-scanning the smaller balls.
-    fn recompute_delta_from(&mut self, x: u32, start: f64) {
-        let px: Vec<f64> = self.row(x).to_vec();
-        let rx = self.rho[x as usize];
-        let mut ball = std::mem::take(&mut self.scratch_inner);
-        let mut radius = if start > self.dcut { start } else { self.dcut };
-        loop {
-            self.tree.range_search_into(&px, radius, &mut ball);
-            let mut best: Option<(u32, f64)> = None;
-            for &j in &ball {
-                if j as u32 != x && self.rho[j] > rx {
-                    let d = dist(&px, self.row(j as u32));
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((j as u32, d));
-                    }
-                }
-            }
-            if let Some((j, d)) = best {
-                self.set_dep(x, j, d);
-                break;
-            }
-            if ball.len() >= self.tree.len() {
-                self.set_dep(x, x, f64::INFINITY);
-                break;
-            }
-            radius *= 2.0;
+    /// Exact δ recompute for live slot `x`: one nearest-denser query on the
+    /// tree (the nearest live point with a strictly higher ρ; none means `x`
+    /// is the densest point, δ = ∞).
+    fn recompute_delta(&mut self, x: u32) {
+        match self.tree.nearest_denser(self.row(x), self.rho[x as usize], &self.rho) {
+            Some((j, d)) => self.set_dep(x, j as u32, d),
+            None => self.set_dep(x, x, f64::INFINITY),
         }
+    }
+
+    /// The merged frontier query of `insert` and `remove`: every live point
+    /// within `d_cut + far_cut` of `point` into `near` (the padding absorbs
+    /// the strict case-3 inequality's rounding headroom), and those within
+    /// `d_cut` (the closed ball of Definition 1) into `ball`.
+    fn frontier_into(&self, point: &[f64], near: &mut Vec<usize>, ball: &mut Vec<usize>) {
+        let far_cut = self.dcut * FAR_FACTOR;
+        self.tree.range_search_into(point, (self.dcut + far_cut) * (1.0 + 1e-9), near);
+        let r_sq = self.dcut * self.dcut;
         ball.clear();
-        self.scratch_inner = ball;
+        ball.extend(near.iter().copied().filter(|&x| dist_sq(point, self.row(x as u32)) <= r_sq));
     }
 
     /// Inserts a point and returns its stable id. Exact maintenance:
     ///
-    /// 1. ρ: one `d_cut` range query; every neighbour gets `count + 1` and
-    ///    the new point's own count is the ball size.
-    /// 2. Full δ recompute for the new point and for every neighbour whose
-    ///    dependent is no longer strictly denser (its own ρ rose past it).
+    /// 1. ρ: one merged frontier query of radius `d_cut + far_cut`; every
+    ///    neighbour within `d_cut` gets `count + 1` and the new point's own
+    ///    count is the ball size.
+    /// 2. δ of the new point (nearest denser ball member, else one
+    ///    nearest-denser query), and a nearest-denser query for every
+    ///    neighbour whose dependent is no longer strictly denser (its own ρ
+    ///    rose past it).
     /// 3. Frontier repair: a neighbour `q` whose ρ rose from `old` to `new`
     ///    becomes a *new* denser point exactly for the unbumped points whose
     ///    ρ lies in `(old, new)`, and the new point itself is a candidate
     ///    denser point for anything less dense. Every such new denser point
     ///    lies within `d_cut` of the arrival, so a repairable `x` satisfies
     ///    `dist(x, arrival) < δ_x + d_cut`. Candidates with δ ≤ `far_cut`
-    ///    are therefore inside the widened range query from step 1; the rest
-    ///    are exactly the far list, swept sequentially. Each candidate
-    ///    repairs with one distance comparison — on insert a stale δ is
-    ///    always an upper bound.
+    ///    are therefore in the frontier from step 1; the rest are exactly the
+    ///    far list, swept sequentially. Each candidate meets its crossing
+    ///    intervals through `crossing` and repairs with one distance
+    ///    comparison per interval — on insert a stale δ is always an upper
+    ///    bound.
     pub fn insert(&mut self, point: &[f64]) -> Result<u64, DpcError> {
         if point.len() != self.dim {
             return Err(DpcError::DimensionMismatch {
@@ -390,23 +389,13 @@ impl StreamingDpc {
         let id = self.next_id;
         self.next_id += 1;
 
-        // One merged range query, *before* the new point enters the tree:
-        // the hits within `d_cut` are the ball (re-partitioned exactly
-        // below); the rest are the near half of the case-3 frontier (a
-        // candidate with δ ≤ far_cut is repairable only within
-        // `d_cut + far_cut` of the arrival; the padding absorbs the strict
-        // inequality's rounding headroom).
-        let far_cut = self.dcut * FAR_FACTOR;
+        // The merged frontier, *before* the new point enters the tree: the
+        // ball, and the near half of the case-3 candidates (a candidate with
+        // δ ≤ far_cut is repairable only within `d_cut + far_cut` of the
+        // arrival).
         let mut near = std::mem::take(&mut self.scratch_near);
-        self.tree.range_search_into(point, (self.dcut + far_cut) * (1.0 + 1e-9), &mut near);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        ball.clear();
-        let r_sq = self.dcut * self.dcut;
-        for &x in &near {
-            if dist_sq(point, self.row(x as u32)) <= r_sq {
-                ball.push(x);
-            }
-        }
+        self.frontier_into(point, &mut near, &mut ball);
 
         let s = self.alloc_slot(id, point);
         for &q in &ball {
@@ -423,10 +412,9 @@ impl StreamingDpc {
             self.mark[q] = true;
         }
 
-        // Case 1: δ of the arrival. The ball in hand *is* the first round of
-        // the expanding search — a denser neighbour inside it beats every
-        // point beyond `d_cut` — so the tree is only consulted when the
-        // arrival out-densifies its whole neighbourhood.
+        // Case 1: δ of the arrival. A denser neighbour inside the ball in
+        // hand beats every point beyond `d_cut`, so the tree is only
+        // consulted when the arrival out-densifies its whole neighbourhood.
         let mut best: Option<(u32, f64)> = None;
         for &j in &ball {
             if self.rho[j] > self.rho[si] {
@@ -438,18 +426,16 @@ impl StreamingDpc {
         }
         match best {
             Some((j, d)) => self.set_dep(s, j, d),
-            None => self.recompute_delta_from(s, 2.0 * self.dcut),
+            None => self.recompute_delta(s),
         }
 
         // Case 2: neighbours whose dependent stopped being strictly denser
-        // when their own ρ rose. Their δ can only grow (their denser set
-        // shrank, except for the arrival — already in the tree and so seen
-        // by the search), so the recompute resumes from the old δ.
+        // when their own ρ rose (the arrival is already in the tree, so the
+        // search sees it).
         for &qi in &ball {
             let d = self.dep[qi] as usize;
             if d != qi && self.rho[d] <= self.rho[qi] {
-                let start = self.delta[qi];
-                self.recompute_delta_from(qi as u32, start);
+                self.recompute_delta(qi as u32);
             }
         }
 
@@ -477,6 +463,7 @@ impl StreamingDpc {
             let qi = q as usize;
             ivals.push((q, self.jitter(self.count[qi] - 1, q), self.rho[qi]));
         }
+        ivals.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
         let mut far = std::mem::take(&mut self.scratch_far);
         far.clear();
         for k in 0..self.far_slots.len() {
@@ -503,12 +490,10 @@ impl StreamingDpc {
                     self.set_dep(x, s, d);
                 }
             }
-            for &(q, lo, hi) in &ivals {
-                if lo < rx && rx < hi {
-                    let d = dist(self.row(x), self.row(q));
-                    if d < self.delta[xi] {
-                        self.set_dep(x, q, d);
-                    }
+            for q in crossing(&ivals, rx) {
+                let d = dist(self.row(x), self.row(q));
+                if d < self.delta[xi] {
+                    self.set_dep(x, q, d);
                 }
             }
         }
@@ -539,18 +524,21 @@ impl StreamingDpc {
     /// Removes the point with stable id `id`. Returns `false` when the id is
     /// not live. Exact maintenance mirrors `insert`:
     ///
-    /// 1. ρ: one `d_cut` range query around the removed coordinates; every
-    ///    neighbour gets `count - 1`.
-    /// 2. Full δ recompute for every point whose dependent was the removed
-    ///    point, and for every follower of a neighbour whose ρ fell to or
-    ///    below the follower's.
+    /// 1. ρ: one merged frontier query of radius `d_cut + far_cut` around
+    ///    the removed coordinates; every neighbour within `d_cut` gets
+    ///    `count - 1`.
+    /// 2. A nearest-denser query for every point whose dependent was the
+    ///    removed point, and for every follower of a neighbour whose ρ fell
+    ///    to or below the follower's.
     /// 3. Frontier repair: a neighbour `q` whose ρ fell from `old` to `new`
     ///    gains as denser points exactly the unbumped points in `(new, old)`
     ///    — only δ_q itself can shrink, and any improvement lies strictly
-    ///    inside its current δ ball, so one δ_q-bounded range query around
-    ///    `q` enumerates the candidates (falling back to a fresh expanding
-    ///    recompute when δ_q is large). On delete a stale δ is always
-    ///    attained by a surviving denser point, so it can only improve.
+    ///    inside its current δ ball, hence within `δ_q + d_cut` of the
+    ///    removed point. For δ_q ≤ `far_cut` the candidates are in the
+    ///    frontier from step 1 and meet `q`'s interval through `crossing`;
+    ///    a `q` above `far_cut` gets a nearest-denser query instead. On
+    ///    delete a stale δ is always attained by a surviving denser point,
+    ///    so it can only improve.
     pub fn remove(&mut self, id: u64) -> bool {
         let Some(&slot) = self.id_to_slot.get(&id) else { return false };
         self.remove_slot(slot);
@@ -572,7 +560,6 @@ impl StreamingDpc {
     fn remove_slot(&mut self, slot: u32) {
         let si = slot as usize;
         debug_assert!(self.alive[si]);
-        let px: Vec<f64> = self.row(slot).to_vec();
 
         // Detach the slot from every structure first, so the queries below
         // see exactly the surviving window.
@@ -591,21 +578,20 @@ impl StreamingDpc {
         self.live -= 1;
         self.free.push(slot);
 
+        // The merged frontier around the removed coordinates (the freed
+        // slot keeps its row until it is reused): the ball, and the case-3
+        // candidates of every bumped `q` with δ_q ≤ far_cut.
+        let mut near = std::mem::take(&mut self.scratch_near);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        self.tree.range_search_into(&px, self.dcut, &mut ball);
+        self.frontier_into(self.row(slot), &mut near, &mut ball);
         for &q in &ball {
             self.bump_count(q as u32, false);
-        }
-        for &q in &ball {
             self.mark[q] = true;
         }
 
         // Case 2 repairs. Collect before recomputing: recomputes edit the
         // reverse-dependent lists being walked. The sets are disjoint (a
         // point has one dependent), so a plain concatenation is dedup-free.
-        // The old δ seeds each recompute: an orphan's or follower's δ was
-        // attained by the point it just lost, so every surviving denser
-        // point is at least that far away.
         let mut stale: Vec<u32> = orphans;
         for &q in &ball {
             for &y in &self.children[q] {
@@ -615,42 +601,40 @@ impl StreamingDpc {
             }
         }
         for &y in &stale {
-            let start = self.delta[y as usize];
-            self.recompute_delta_from(y, start);
+            self.recompute_delta(y);
         }
 
         // Case 3: each bumped neighbour fell past the unbumped points in
         // (new ρ, old ρ) — those points are now denser than it, so only δ_q
         // can shrink, and any improvement is strictly inside the current δ_q
-        // ball. A δ_q-bounded range query enumerates the candidates; when
-        // δ_q is large (local peaks — the exponential tail of the δ
-        // distribution) materialising that ball would be worse than simply
-        // recomputing the nearest denser point from scratch.
-        let repair_cap = 2.0 * self.dcut;
-        let mut near = std::mem::take(&mut self.scratch_near);
-        for &b in &ball {
-            let q = b as u32;
-            let qi = b;
-            let lo = self.rho[qi];
-            let hi = self.jitter(self.count[qi] + 1, q); // exact old ρ
-            if self.delta[qi] <= repair_cap {
-                self.tree.range_search_into(self.row(q), self.delta[qi], &mut near);
-                for &xi in &near {
-                    if self.mark[xi] {
-                        continue; // bumped alongside q — relative order unchanged
-                    }
-                    let rx = self.rho[xi];
-                    if lo < rx && rx < hi {
-                        let d = dist(self.row(xi as u32), self.row(q));
-                        if d < self.delta[qi] {
-                            self.set_dep(q, xi as u32, d);
-                        }
-                    }
-                }
+        // ball. Below far_cut that ball lies inside the frontier; above it
+        // (local peaks, the tail of the δ distribution) one nearest-denser
+        // query answers directly.
+        let far_cut = self.dcut * FAR_FACTOR;
+        let mut ivals = std::mem::take(&mut self.scratch_ivals);
+        ivals.clear();
+        for &qi in &ball {
+            let q = qi as u32;
+            if self.delta[qi] <= far_cut {
+                ivals.push((q, self.rho[qi], self.jitter(self.count[qi] + 1, q)));
             } else {
-                self.recompute_delta_from(q, self.dcut);
+                self.recompute_delta(q);
             }
         }
+        ivals.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
+        for &xi in &near {
+            if self.mark[xi] {
+                continue; // bumped alongside q — relative order unchanged
+            }
+            let x = xi as u32;
+            for q in crossing(&ivals, self.rho[xi]) {
+                let d = dist(self.row(x), self.row(q));
+                if d < self.delta[q as usize] {
+                    self.set_dep(q, x, d);
+                }
+            }
+        }
+        self.scratch_ivals = ivals;
         near.clear();
         self.scratch_near = near;
 
@@ -749,17 +733,38 @@ impl StreamingDpc {
         Ok((data, ids, model))
     }
 
-    /// Approximate heap memory used by the engine, in bytes.
+    /// Approximate heap memory used by the engine, in bytes: every per-slot
+    /// array, the reverse-dependent lists, the id map, the arrival queue,
+    /// the far list and the tree, each counted by capacity.
     pub fn mem_usage(&self) -> usize {
+        use std::mem::size_of;
         self.tree.mem_usage()
-            + self.coords.capacity() * std::mem::size_of::<f64>()
-            + self.stable.capacity() * std::mem::size_of::<u64>()
-            + self.children.iter().map(|c| c.capacity() * 4).sum::<usize>()
-            + self.arrivals.capacity() * std::mem::size_of::<u64>()
-            + self.far_coords.capacity() * std::mem::size_of::<f64>()
-            + (self.far_slots.capacity() + self.far_pos.capacity()) * std::mem::size_of::<u32>()
-            + self.far_delta.capacity() * std::mem::size_of::<f64>()
+            + (self.coords.capacity() + self.rho.capacity() + self.delta.capacity())
+                * size_of::<f64>()
+            + self.stable.capacity() * size_of::<u64>()
+            + self.count.capacity() * size_of::<usize>()
+            + (self.dep.capacity() + self.free.capacity()) * size_of::<u32>()
+            + (self.alive.capacity() + self.mark.capacity()) * size_of::<bool>()
+            + self.children.capacity() * size_of::<Vec<u32>>()
+            + self.children.iter().map(|c| c.capacity() * size_of::<u32>()).sum::<usize>()
+            + self.id_to_slot.capacity() * size_of::<(u64, u32)>()
+            + self.arrivals.capacity() * size_of::<u64>()
+            + self.far_coords.capacity() * size_of::<f64>()
+            + (self.far_slots.capacity() + self.far_pos.capacity()) * size_of::<u32>()
+            + self.far_delta.capacity() * size_of::<f64>()
     }
+}
+
+/// Slots `q` of the crossing intervals `(q, lo, hi)` that strictly contain
+/// `rx`, from a list sorted by `lo`. ρ is `count + jitter` with a fixed
+/// per-point jitter in (0, 1), so an interval between two consecutive counts
+/// has `hi − lo ≤ 2` even after rounding, and only the intervals with `lo` in
+/// `[rx − 2, rx)` can contain `rx`: two binary searches bound that window and
+/// the exact test runs inside it.
+fn crossing(ivals: &[(u32, f64, f64)], rx: f64) -> impl Iterator<Item = u32> + '_ {
+    let start = ivals.partition_point(|iv| iv.1 < rx - 2.0);
+    let end = ivals.partition_point(|iv| iv.1 < rx);
+    ivals[start..end].iter().filter(move |&&(_, lo, hi)| lo < rx && rx < hi).map(|iv| iv.0)
 }
 
 #[cfg(test)]
@@ -932,6 +937,37 @@ mod tests {
         let (_, assignment) =
             select_and_assign(&thresholds, model.rho(), model.delta(), model.dependent(), &order);
         assert_eq!(clustering.assignment, assignment);
+    }
+
+    /// `mem_usage` must cover every per-slot array, the free list, the id
+    /// map and the arrival queue, not only the coordinates: their lengths
+    /// give a floor that a capacity count can only exceed.
+    #[test]
+    fn mem_usage_counts_every_per_slot_array() {
+        use std::mem::size_of;
+        let mut engine = StreamingDpc::new(DpcParams::new(3.0), 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut ids = Vec::new();
+        for _ in 0..400 {
+            let p = [rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0)];
+            ids.push(engine.insert(&p).unwrap());
+        }
+        for &id in ids.iter().step_by(4) {
+            assert!(engine.remove(id));
+        }
+        let per_slot = 2 * size_of::<f64>() // coords
+            + size_of::<u64>() // stable
+            + size_of::<usize>() // count
+            + 2 * size_of::<f64>() // rho, delta
+            + 2 * size_of::<u32>() // dep, far_pos
+            + 2 * size_of::<bool>() // alive, mark
+            + size_of::<Vec<u32>>(); // children
+        let floor = engine.tree.mem_usage()
+            + engine.stable.len() * per_slot
+            + engine.free.len() * size_of::<u32>()
+            + engine.id_to_slot.len() * size_of::<(u64, u32)>()
+            + engine.arrivals.len() * size_of::<u64>();
+        assert!(engine.mem_usage() >= floor, "{} < {floor}", engine.mem_usage());
     }
 
     #[test]

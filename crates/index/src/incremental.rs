@@ -2,7 +2,9 @@
 //!
 //! The streaming maintenance engine (`StreamingDpc` in `dpc-core`) keeps one
 //! of these alive across a stream, inserting arrivals and removing points as
-//! a sliding window advances. The paper's §3 dependent-point procedure also
+//! a sliding window advances; its δ searches are
+//! [`IncrementalKdTree::nearest_denser`] queries and its ρ updates range
+//! searches. The paper's §3 dependent-point procedure also
 //! runs on it — points inserted in descending local-density order, so a
 //! nearest-neighbour query before each insertion sees exactly the denser
 //! points — and the property tests keep that procedure as the oracle of the
@@ -431,6 +433,53 @@ impl IncrementalKdTree {
         best.map(|(id, d_sq)| (id as usize, d_sq.sqrt()))
     }
 
+    /// The nearest live point `j` with `rank[j] > above`, as `(j, distance)`;
+    /// `None` when no live point ranks above `above`. Among equally near
+    /// points the **lowest id** wins, and the distance is
+    /// `dist_sq(..).sqrt()`, bit for bit the `dist` kernel. `rank` is indexed
+    /// by point id and must cover every id in the tree.
+    ///
+    /// This is the arena twin of [`KdTree::nearest_denser`](crate::KdTree::nearest_denser)
+    /// and serves the same δ search (`rank` = ρ, `above` = the query's own
+    /// ρ, so the query point never qualifies). A mutable tree keeps no
+    /// subtree rank maxima, so only the split planes prune, and a subtree is
+    /// skipped only when its plane lies strictly farther than the best
+    /// distance so far (an equally near lower id may still be behind it).
+    pub fn nearest_denser(&self, query: &[f64], above: f64, rank: &[f64]) -> Option<(usize, f64)> {
+        if self.root == NONE {
+            return None;
+        }
+        let mut best_id = NONE;
+        let mut best_d = f64::INFINITY;
+        let mut stack: Vec<(u32, f64)> = Vec::with_capacity(32);
+        stack.push((self.root, 0.0));
+        while let Some((idx, plane_sq)) = stack.pop() {
+            if plane_sq > best_d {
+                continue;
+            }
+            let node = &self.nodes[idx as usize];
+            let coords = self.node_coords(idx);
+            if !node.deleted && rank[node.id as usize] > above {
+                let d = dist_sq(query, coords);
+                if d < best_d || (d == best_d && node.id < best_id) {
+                    best_d = d;
+                    best_id = node.id;
+                }
+            }
+            let axis = node.axis as usize;
+            let diff = query[axis] - coords[axis];
+            let (near, far) =
+                if diff < 0.0 { (node.left, node.right) } else { (node.right, node.left) };
+            if far != NONE {
+                stack.push((far, plane_sq.max(diff * diff)));
+            }
+            if near != NONE {
+                stack.push((near, plane_sq));
+            }
+        }
+        (best_id != NONE).then(|| (best_id as usize, best_d.sqrt()))
+    }
+
     /// Approximate heap memory used by the index, in bytes (arena nodes, the
     /// owned coordinate rows, and the id map).
     pub fn mem_usage(&self) -> usize {
@@ -661,6 +710,130 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!((nd - brute).abs() < 1e-9);
         }
+    }
+
+    /// `O(n)` reference for `nearest_denser` over the live ids of `tree`:
+    /// the lowest id among the nearest points with `rank > above`.
+    fn brute_denser(
+        tree: &IncrementalKdTree,
+        ds: &Dataset,
+        q: &[f64],
+        above: f64,
+        rank: &[f64],
+    ) -> Option<(usize, f64)> {
+        (0..ds.len())
+            .filter(|&j| tree.contains(j) && rank[j] > above)
+            .map(|j| (j, dist(q, ds.point(j))))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    }
+
+    /// Checks `nearest_denser` against [`brute_denser`], id and δ bits, from
+    /// every point of `ds` (live or removed, above its own rank) and from
+    /// random off-dataset queries.
+    fn assert_denser_matches_brute_force(
+        tree: &IncrementalKdTree,
+        ds: &Dataset,
+        rank: &[f64],
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<(Vec<f64>, f64)> =
+            (0..ds.len()).map(|i| (ds.point(i).to_vec(), rank[i])).collect();
+        for _ in 0..100 {
+            let q = (0..ds.dim()).map(|_| rng.gen_range(-20.0..120.0)).collect();
+            queries.push((q, rng.gen_range(-1.0..40.0)));
+        }
+        let bits = |r: Option<(usize, f64)>| r.map(|(j, d)| (j, d.to_bits()));
+        for (k, (q, above)) in queries.iter().enumerate() {
+            let want = bits(brute_denser(tree, ds, q, *above, rank));
+            let got = bits(tree.nearest_denser(q, *above, rank));
+            assert_eq!(got, want, "seed {seed}, dim {}, query {k}", ds.dim());
+        }
+    }
+
+    /// The two tree states a stream leaves behind: a third of the points
+    /// tombstoned in place (below the compaction threshold), and a third of
+    /// a larger tree removed, which compacts it.
+    fn assert_denser_after_removals(ds: &Dataset, rank: &[f64], seed: u64) {
+        let mut tombstoned = IncrementalKdTree::new(ds.dim());
+        for id in 0..180 {
+            tombstoned.insert(id, ds.point(id));
+        }
+        for id in (0..180).step_by(3) {
+            assert!(tombstoned.remove(id));
+        }
+        assert_eq!(tombstoned.dead, 60, "the removals must stay tombstones");
+        assert_denser_matches_brute_force(&tombstoned, ds, rank, seed);
+
+        let mut compacted = IncrementalKdTree::build(ds);
+        for id in (0..ds.len()).step_by(3) {
+            assert!(compacted.remove(id));
+        }
+        assert!(compacted.nodes.len() < ds.len(), "the removals must have compacted the arena");
+        assert_denser_matches_brute_force(&compacted, ds, rank, seed + 1);
+    }
+
+    #[test]
+    fn nearest_denser_matches_brute_force() {
+        for dim in [2usize, 3, 8] {
+            let n = 600;
+            let seed = 80 + dim as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rank: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..30.0)).collect();
+            assert_denser_after_removals(&random_dataset(n, dim, seed), &rank, seed);
+            // Lattice-snapped duplicates with integer ranks: equal distances
+            // and equal ranks everywhere, so the lowest-id rule and the
+            // strict `rank > above` decide most answers.
+            let snapped = Dataset::from_flat(
+                dim,
+                random_dataset(n, dim, seed + 100)
+                    .flat()
+                    .iter()
+                    .map(|c| (c / 25.0).floor() * 25.0)
+                    .collect(),
+            );
+            let int_rank: Vec<f64> = rank.iter().map(|r| r.floor()).collect();
+            assert_denser_after_removals(&snapped, &int_rank, seed + 100);
+        }
+    }
+
+    #[test]
+    fn nearest_denser_honours_a_masked_rank_and_the_maximum() {
+        // Only every third point carries a rank; the rest are masked with
+        // −∞ and may never be returned, not even for `above = −∞`.
+        let ds = random_dataset(600, 2, 91);
+        let masked: Vec<f64> =
+            (0..600).map(|j| if j % 3 == 0 { j as f64 } else { f64::NEG_INFINITY }).collect();
+        let mut tree = IncrementalKdTree::build(&ds);
+        for id in (1..600).step_by(7) {
+            tree.remove(id);
+        }
+        assert_denser_matches_brute_force(&tree, &ds, &masked, 91);
+        for i in 0..40 {
+            let (j, _) = tree.nearest_denser(ds.point(i), f64::NEG_INFINITY, &masked).unwrap();
+            assert_eq!(j % 3, 0, "query {i} returned masked point {j}");
+        }
+        // Nothing ranks above the maximum rank.
+        let rank: Vec<f64> = (0..600).map(|j| (j % 50) as f64).collect();
+        for above in [49.0, 50.0, f64::INFINITY] {
+            assert!(tree.nearest_denser(&[50.0; 2], above, &rank).is_none());
+        }
+        let (j, _) = tree.nearest_denser(&[50.0; 2], 48.5, &rank).unwrap();
+        assert_eq!(rank[j], 49.0);
+    }
+
+    #[test]
+    fn nearest_denser_on_an_empty_tree_and_a_single_point() {
+        let empty = IncrementalKdTree::new(2);
+        assert!(empty.nearest_denser(&[0.0, 0.0], f64::NEG_INFINITY, &[]).is_none());
+
+        let mut tree = IncrementalKdTree::new(2);
+        tree.insert(0, &[3.0, 4.0]);
+        assert_eq!(tree.nearest_denser(&[0.0, 0.0], 0.5, &[1.0]), Some((0, 5.0)));
+        assert!(tree.nearest_denser(&[0.0, 0.0], 1.0, &[1.0]).is_none());
+        // A tombstone still routes the traversal but is never an answer.
+        tree.remove(0);
+        assert!(tree.nearest_denser(&[0.0, 0.0], 0.5, &[1.0]).is_none());
     }
 
     /// Regression for the recursive traversals of the seed: inserting points

@@ -180,3 +180,126 @@ fn explicit_removals_compose_with_window_expiry() {
     }
     assert_matches_fresh_fit(&engine, params, "mixed removal/expiry final");
 }
+
+/// One exported window state in arrival order: stable ids, coordinates, δ
+/// and the dependent's stable id, plus the position of each stable id.
+struct WindowState {
+    id: Vec<u64>,
+    point: Vec<Vec<f64>>,
+    delta: Vec<f64>,
+    dep: Vec<u64>,
+    pos: std::collections::HashMap<u64, usize>,
+}
+
+fn window_state(engine: &StreamingDpc) -> WindowState {
+    let (window, ids, model) = engine.to_parts().expect("non-empty window");
+    WindowState {
+        id: ids.clone(),
+        point: (0..window.len()).map(|i| window.point(i).to_vec()).collect(),
+        delta: model.delta().to_vec(),
+        dep: model.dependent().iter().map(|&j| ids[j]).collect(),
+        pos: ids.iter().enumerate().map(|(i, &id)| (id, i)).collect(),
+    }
+}
+
+/// How often each delete- and insert-side repair visibly changed a δ.
+#[derive(Default, Debug)]
+struct RepairEvents {
+    /// A bumped neighbour with δ ≤ far_cut shrank its δ on delete: only the
+    /// merged delete frontier can do that.
+    delete_frontier: usize,
+    /// A bumped neighbour with δ > far_cut shrank its δ on delete: only its
+    /// nearest-denser recompute can do that.
+    delete_far_recompute: usize,
+    /// A point with δ > far_cut beyond the insert frontier shrank its δ on
+    /// insert: only the far-list sweep can do that.
+    insert_far_list: usize,
+}
+
+/// A 4-d skewed window: three blobs whose spreads differ by 6× over a
+/// uniform background, in random order, through a 1,500-point sliding window
+/// that expires in batches of 25. The sizes are chosen so that every case-3
+/// repair path changes some δ, which the test observes on a twin engine that
+/// performs the same inserts and expiries as explicit calls and is
+/// snapshotted around each of them.
+#[test]
+fn skewed_4d_sliding_window_matches_fresh_fit() {
+    const DIM: usize = 4;
+    const CAPACITY: usize = 1500;
+    const BATCH: usize = 25;
+    let dcut = 1.0;
+    // The engine's far cut is `FAR_FACTOR · d_cut` with a factor of one.
+    let far_cut = dcut;
+    let params = DpcParams::new(dcut).with_jitter_seed(0x4d);
+    let mut rng = StdRng::seed_from_u64(404);
+    let mut point = move || -> Vec<f64> {
+        let (centre, spread) = match rng.gen_range(0..20usize) {
+            0..=2 => return (0..DIM).map(|_| rng.gen_range(0.0..24.0)).collect(),
+            3..=8 => (4.0, 0.25),
+            9..=14 => (12.0, 0.8),
+            _ => (18.0, 1.5),
+        };
+        (0..DIM).map(|_| centre + spread * rng.gen_standard_normal()).collect()
+    };
+
+    let mut windowed = StreamingDpc::new(params, DIM).unwrap().with_window(CAPACITY, BATCH);
+    let mut twin = StreamingDpc::new(params, DIM).unwrap();
+    for _ in 0..CAPACITY + BATCH - 1 {
+        let p = point();
+        windowed.insert(&p).unwrap();
+        twin.insert(&p).unwrap();
+    }
+    assert!(windowed.drain_expired().is_empty());
+
+    let mut events = RepairEvents::default();
+    let reach = (dcut + far_cut) * (1.0 + 1e-9);
+    for batch in 0..6 {
+        for _ in 0..BATCH {
+            let p = point();
+            windowed.insert(&p).unwrap();
+            let before = window_state(&twin);
+            twin.insert(&p).unwrap();
+            let after = window_state(&twin);
+            for (i, x) in before.point.iter().enumerate() {
+                let j = after.pos[&before.id[i]];
+                if before.delta[i] > far_cut
+                    && fast_dpc::geometry::dist(x, &p) > reach
+                    && after.delta[j] < before.delta[i]
+                {
+                    events.insert_far_list += 1;
+                }
+            }
+            for id in windowed.drain_expired() {
+                let before = window_state(&twin);
+                let removed = &before.point[before.pos[&id]];
+                assert!(twin.remove(id));
+                let after = window_state(&twin);
+                for (i, y) in before.point.iter().enumerate() {
+                    let key = before.id[i];
+                    if key == id
+                        || before.dep[i] == id
+                        || fast_dpc::geometry::dist(y, removed) > dcut
+                    {
+                        continue; // the removed point itself, an orphan, or outside the ball
+                    }
+                    if after.delta[after.pos[&key]] < before.delta[i] {
+                        if before.delta[i] > far_cut {
+                            events.delete_far_recompute += 1;
+                        } else {
+                            events.delete_frontier += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let (_, ids, model) = windowed.to_parts().unwrap();
+        let (_, twin_ids, twin_model) = twin.to_parts().unwrap();
+        assert_eq!(ids, twin_ids, "batch {batch}: expiry must equal explicit removal");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(model.delta()), bits(twin_model.delta()), "batch {batch}: δ");
+        assert_matches_fresh_fit(&windowed, params, &format!("skewed 4-d batch {batch}"));
+    }
+    assert!(events.delete_frontier > 0, "{events:?}");
+    assert!(events.delete_far_recompute > 0, "{events:?}");
+    assert!(events.insert_far_list > 0, "{events:?}");
+}
